@@ -59,13 +59,15 @@ RelayAnalysis analyze_schedule_worst_hops(const TopologySchedule& schedule,
   // Per-epoch, the excluded set is the concrete down mask — no C(n, f)
   // subset walk — so exactness only hinges on the source budget.
   const bool exact = n <= Topology::kWorstCaseSourceBudget;
-  std::uint32_t worst = 0;
-  const std::size_t epochs = schedule.deltas().size();
-  for (std::size_t e = 0; e <= epochs; ++e) {
-    const Topology topo = schedule.at_epoch(e);
-    const std::vector<bool> down = schedule.down_at(e);
-    worst = std::max(worst, topo.worst_distance_with_faults(
-                                down, exact ? 0u : topo.sampled_source_cap()));
+  const std::uint32_t source_budget =
+      exact ? 0u : schedule.initial().sampled_source_cap();
+  // One incremental walk: epoch e + 1 is epoch e plus delta e.
+  Topology topo = schedule.initial();
+  std::vector<bool> down(n, false);
+  std::uint32_t worst = topo.worst_distance_with_faults(down, source_budget);
+  for (const EpochDelta& delta : schedule.deltas()) {
+    TopologySchedule::apply(delta, topo, down);
+    worst = std::max(worst, topo.worst_distance_with_faults(down, source_budget));
   }
   if (f > 0) {
     CS_WARN << "relay: dynamic schedule analyzed with f=" << f

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <limits>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -50,37 +51,60 @@ struct DeltaBuilder {
   }
 };
 
-/// BFS reachability over the non-down nodes only. Down nodes are isolated by
-/// construction, so this is the connectivity of the graph the protocol
-/// actually runs on.
-[[nodiscard]] bool live_connected(const Topology& topo,
-                                  const std::vector<bool>& down) {
-  const std::uint32_t n = topo.n();
-  NodeId start = kInvalidNode;
-  std::size_t live = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (down[v]) continue;
-    if (start == kInvalidNode) start = v;
-    ++live;
-  }
-  if (live <= 1) return true;
-  std::vector<bool> seen(n, false);
-  std::deque<NodeId> queue;
-  seen[start] = true;
-  queue.push_back(start);
-  std::size_t reached = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (const NodeId w : topo.neighbors(v)) {
-      if (seen[w] || down[w]) continue;
-      seen[w] = true;
-      ++reached;
-      queue.push_back(w);
+/// Early-exit BFS over the non-down nodes: reaches(topo, down, from, targets)
+/// is true iff every target is reachable from `from`, and stops at the last
+/// target found. Down nodes are isolated by construction, so this walks the
+/// graph the protocol actually runs on. Marks are stamped per call, so the
+/// scratch is never cleared and a check costs only the nodes it visits.
+class LiveReach {
+ public:
+  explicit LiveReach(std::uint32_t n) : mark_(n, 0) {}
+
+  [[nodiscard]] bool reaches(const Topology& topo,
+                             const std::vector<bool>& down, NodeId from,
+                             std::span<const NodeId> targets) {
+    if (stamp_ > std::numeric_limits<std::uint32_t>::max() - 2) {
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 0;
     }
+    stamp_ += 2;
+    const std::uint32_t wanted = stamp_;
+    const std::uint32_t seen = stamp_ + 1;
+    std::size_t pending = 0;
+    for (const NodeId t : targets) {
+      if (t == from || mark_[t] == wanted) continue;
+      mark_[t] = wanted;
+      ++pending;
+    }
+    if (pending == 0) return true;
+    mark_[from] = seen;
+    queue_.assign(1, from);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      for (const NodeId w : topo.neighbors(queue_[head])) {
+        if (down[w] || mark_[w] == seen) continue;
+        if (mark_[w] == wanted && --pending == 0) return true;
+        mark_[w] = seen;
+        queue_.push_back(w);
+      }
+    }
+    return false;
   }
-  return reached == live;
-}
+
+  /// Whole-graph check: every live node reaches every other.
+  [[nodiscard]] bool live_connected(const Topology& topo,
+                                    const std::vector<bool>& down) {
+    live_.clear();
+    for (NodeId v = 0; v < topo.n(); ++v)
+      if (!down[v]) live_.push_back(v);
+    return live_.empty() || reaches(topo, down, live_.front(), live_);
+  }
+
+ private:
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
+  std::vector<NodeId> queue_;
+  std::vector<NodeId> live_;
+};
 
 /// Uniform live node, or kInvalidNode when the bounded rejection sampling
 /// fails (only possible when almost everything is down).
@@ -172,6 +196,18 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
   std::vector<std::vector<NodeId>> edges_at_leave(n);
   std::vector<NodeId> prev_leaves;
   util::Rng rng(seed);
+  // Generation keeps the live graph connected before every cut (rejoins
+  // attach to a live partner, rewires and leaves are checked), so a cut
+  // needs only a local check: dropping edge {a, b} keeps the graph
+  // connected iff a still reaches b, and dropping node v iff v's former
+  // neighbors still reach each other. A disconnected initial graph has no
+  // such invariant and gets the whole-graph check.
+  LiveReach reach(n);
+  const bool local_checks = reach.live_connected(cur, down);
+  const auto still_connected = [&](std::span<const NodeId> group) {
+    if (!local_checks) return reach.live_connected(cur, down);
+    return group.empty() || reach.reaches(cur, down, group.front(), group);
+  };
 
   for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
     DeltaBuilder builder;
@@ -220,7 +256,8 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
       if (a == kInvalidNode || cur.neighbors(a).empty()) continue;
       const NodeId b = cur.neighbors(a)[rng.below(cur.neighbors(a).size())];
       cur.remove_edge(a, b);
-      if (!live_connected(cur, down)) {
+      const NodeId ends[] = {a, b};
+      if (!still_connected(ends)) {
         cur.add_edge(a, b);  // revert: this edge is a live-graph bridge
         continue;
       }
@@ -254,7 +291,7 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
         const std::vector<NodeId> partners = cur.neighbors(v);
         for (const NodeId p : partners) cur.remove_edge(v, p);
         down[v] = true;
-        if (!live_connected(cur, down)) {
+        if (!still_connected(partners)) {
           down[v] = false;
           for (const NodeId p : partners) cur.add_edge(v, p);
           continue;
@@ -277,26 +314,30 @@ bool TopologySchedule::dynamic() const noexcept {
                      [](const EpochDelta& d) { return !d.empty(); });
 }
 
-Topology TopologySchedule::at_epoch(std::size_t epoch) const {
-  Topology topo = initial_;
+void TopologySchedule::apply(const EpochDelta& delta, Topology& topo,
+                             std::vector<bool>& down) {
+  for (const NodeId v : delta.joins) down[v] = false;
+  for (const auto& [a, b] : delta.removed) topo.remove_edge(a, b);
+  for (const auto& [a, b] : delta.added) topo.add_edge(a, b);
+  for (const NodeId v : delta.leaves) down[v] = true;
+}
+
+std::pair<Topology, std::vector<bool>> TopologySchedule::replay(
+    std::size_t epoch) const {
+  std::pair<Topology, std::vector<bool>> state{
+      initial_, std::vector<bool>(initial_.n(), false)};
   const std::size_t upto = std::min(epoch, deltas_.size());
-  for (std::size_t e = 0; e < upto; ++e) {
-    const EpochDelta& d = deltas_[e];
-    for (const auto& [a, b] : d.removed) topo.remove_edge(a, b);
-    for (const auto& [a, b] : d.added) topo.add_edge(a, b);
-  }
-  return topo;
+  for (std::size_t e = 0; e < upto; ++e)
+    apply(deltas_[e], state.first, state.second);
+  return state;
+}
+
+Topology TopologySchedule::at_epoch(std::size_t epoch) const {
+  return replay(epoch).first;
 }
 
 std::vector<bool> TopologySchedule::down_at(std::size_t epoch) const {
-  std::vector<bool> down(initial_.n(), false);
-  const std::size_t upto = std::min(epoch, deltas_.size());
-  for (std::size_t e = 0; e < upto; ++e) {
-    const EpochDelta& d = deltas_[e];
-    for (const NodeId v : d.joins) down[v] = false;
-    for (const NodeId v : d.leaves) down[v] = true;
-  }
-  return down;
+  return replay(epoch).second;
 }
 
 std::vector<bool> TopologySchedule::ever_churned() const {
@@ -317,17 +358,12 @@ EdgeAgeTracker::EdgeAgeTracker(const Topology& initial)
 }
 
 void EdgeAgeTracker::apply(const EpochDelta& delta) {
-  for (const NodeId v : delta.joins) down_[v] = false;
-  for (const auto& [a, b] : delta.removed) {
-    topo_.remove_edge(a, b);
-    birth_.erase(key(a, b));
-  }
+  TopologySchedule::apply(delta, topo_, down_);
+  // `removed` and `added` are disjoint, so the birth bookkeeping may follow
+  // the whole delta.
+  for (const auto& [a, b] : delta.removed) birth_.erase(key(a, b));
   ++epoch_;  // edges added by delta e are first live at epoch e + 1
-  for (const auto& [a, b] : delta.added) {
-    topo_.add_edge(a, b);
-    birth_[key(a, b)] = epoch_;
-  }
-  for (const NodeId v : delta.leaves) down_[v] = true;
+  for (const auto& [a, b] : delta.added) birth_[key(a, b)] = epoch_;
 }
 
 std::uint64_t EdgeAgeTracker::age(NodeId a, NodeId b) const {

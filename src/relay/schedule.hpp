@@ -99,8 +99,16 @@ class TopologySchedule {
   /// uses to keep the static path bit-identical to the pre-schedule code.
   [[nodiscard]] bool dynamic() const noexcept;
 
+  /// Advances an epoch graph and its down mask by one delta, in the
+  /// joins → removed → added → leaves order. Every epoch walk over a
+  /// schedule (the per-epoch D_f analysis, the local-skew series, the
+  /// EdgeAgeTracker, at_epoch/down_at) replays through here.
+  static void apply(const EpochDelta& delta, Topology& topo,
+                    std::vector<bool>& down);
+
   /// Topology after applying the first `epoch` deltas (clamped to the
-  /// schedule length). Round r of a run sees at_epoch(r).
+  /// schedule length). Round r of a run sees at_epoch(r). Replays from
+  /// epoch 0 on every call; walks over many epochs use apply() instead.
   [[nodiscard]] Topology at_epoch(std::size_t epoch) const;
   /// Down-node mask after the first `epoch` deltas (clamped).
   [[nodiscard]] std::vector<bool> down_at(std::size_t epoch) const;
@@ -115,6 +123,10 @@ class TopologySchedule {
 
  private:
   explicit TopologySchedule(Topology initial) : initial_(std::move(initial)) {}
+
+  /// Epoch graph and down mask after the first `epoch` deltas (clamped).
+  [[nodiscard]] std::pair<Topology, std::vector<bool>> replay(
+      std::size_t epoch) const;
 
   Topology initial_;
   std::vector<EpochDelta> deltas_;

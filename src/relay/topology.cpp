@@ -128,6 +128,72 @@ std::uint64_t subset_count_capped(std::uint32_t n, std::uint32_t f,
   return std::min(count, cap + 1);
 }
 
+/// Sources per bit-parallel sweep: 64 per word, at most kMaxWords words.
+constexpr std::size_t kMaxWords = 4;
+constexpr std::size_t kBatchSources = 64 * kMaxWords;
+
+/// Bit-parallel BFS state for up to 64·W sources. Each node owns one
+/// 3W-word block, kept together for locality: `visited`, then two frontier
+/// buffers that swap roles every level. Bit i of a W-word group marks source
+/// i of the batch. Excluded nodes start with `visited` saturated, so the
+/// expansion never enters them and needs no exclusion test. Both frontier
+/// buffers are all-zero between sweeps.
+struct SweepState {
+  std::vector<std::uint64_t> bits;
+  std::vector<NodeId> active;   ///< nodes whose frontier is non-zero
+  std::vector<NodeId> reached;  ///< nodes whose next frontier is non-zero
+};
+
+/// One level-synchronous sweep from the frontier seeded in buffer 0 (words
+/// [W, 2W) of each block). A level costs O(frontier edges · W), so the sweep
+/// never does asymptotically more work than the per-source BFS it replaces.
+/// Returns the last level at which any source reached a new node: the
+/// batch's max eccentricity.
+template <std::size_t W>
+std::uint32_t sweep(const std::vector<std::vector<NodeId>>& adj,
+                    SweepState& st) {
+  std::uint64_t* const bits = st.bits.data();
+  std::size_t front = W;  // offset of the frontier being expanded
+  std::size_t next = 2 * W;
+  std::uint32_t level = 0;
+  std::uint32_t last = 0;
+  while (!st.active.empty()) {
+    ++level;
+    st.reached.clear();
+    for (const NodeId v : st.active) {
+      const std::uint64_t* fv = bits + std::size_t{v} * 3 * W + front;
+      for (const NodeId u : adj[v]) {
+        std::uint64_t* seen = bits + std::size_t{u} * 3 * W;
+        std::uint64_t fresh[W];
+        std::uint64_t any = 0;
+        for (std::size_t w = 0; w < W; ++w) {
+          fresh[w] = fv[w] & ~seen[w];
+          any |= fresh[w];
+        }
+        if (any == 0) continue;
+        // Marking visited now is safe: bits found this level land in the
+        // next frontier, never in the one being expanded.
+        std::uint64_t* nu = seen + next;
+        std::uint64_t pending = 0;
+        for (std::size_t w = 0; w < W; ++w) {
+          pending |= nu[w];
+          nu[w] |= fresh[w];
+          seen[w] |= fresh[w];
+        }
+        if (pending == 0) st.reached.push_back(u);
+      }
+    }
+    // Zero the expanded frontier, then swap: it becomes the next level's
+    // (empty) write buffer.
+    for (const NodeId v : st.active)
+      std::fill_n(bits + std::size_t{v} * 3 * W + front, W, 0);
+    std::swap(front, next);
+    if (!st.reached.empty()) last = level;
+    st.active.swap(st.reached);
+  }
+  return last;
+}
+
 }  // namespace
 
 bool Topology::survives_faults(std::uint32_t f) const {
@@ -156,15 +222,15 @@ bool Topology::worst_case_distance_is_exact(std::uint32_t f) const {
 
 std::uint32_t Topology::worst_distance_with_faults(
     const std::vector<bool>& excluded, std::uint32_t source_budget) const {
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
   CS_CHECK(excluded.size() == n());
   std::vector<NodeId> sources;
   sources.reserve(n());
   for (NodeId s = 0; s < n(); ++s)
     if (!excluded[s]) sources.push_back(s);
   if (source_budget > 0 && sources.size() > source_budget) {
-    // Deterministic evenly-strided sample. Every retained BFS still checks
-    // full reachability below, so connectivity verification stays exact.
+    // Deterministic evenly-strided sample. Every retained source still
+    // checks full reachability below, so connectivity verification stays
+    // exact.
     std::vector<NodeId> sampled;
     sampled.reserve(source_budget);
     for (std::uint32_t i = 0; i < source_budget; ++i)
@@ -172,16 +238,53 @@ std::uint32_t Topology::worst_distance_with_faults(
           sources[static_cast<std::size_t>(i) * sources.size() / source_budget]);
     sources.swap(sampled);
   }
+  if (sources.empty()) return 0;
+
+  // Multi-source BFS, kBatchSources sources per sweep. The word count
+  // follows the source count, so a 16-source sample packs into one word.
+  const std::size_t words =
+      std::min(kMaxWords, (sources.size() + 63) / 64);
+  const std::size_t block = 3 * words;
+  SweepState st;
+  st.bits.assign(static_cast<std::size_t>(n()) * block, 0);
   std::uint32_t worst = 0;
-  std::vector<std::uint32_t> dist;
-  for (const NodeId s : sources) {
-    bfs_from(s, excluded, dist);
+  for (std::size_t begin = 0; begin < sources.size(); begin += kBatchSources) {
+    const std::size_t count = std::min(kBatchSources, sources.size() - begin);
+    for (NodeId v = 0; v < n(); ++v) {
+      const std::uint64_t init = excluded[v] ? ~std::uint64_t{0} : 0;
+      std::fill_n(st.bits.begin() + std::size_t{v} * block, words, init);
+    }
+    st.active.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t at = std::size_t{sources[begin + i]} * block + i / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      st.bits[at] |= bit;          // visited
+      st.bits[at + words] |= bit;  // frontier (buffer 0)
+      st.active.push_back(sources[begin + i]);  // sources are distinct
+    }
+    std::uint32_t ecc = 0;
+    switch (words) {
+      case 1: ecc = sweep<1>(adj_, st); break;
+      case 2: ecc = sweep<2>(adj_, st); break;
+      case 3: ecc = sweep<3>(adj_, st); break;
+      default: ecc = sweep<kMaxWords>(adj_, st); break;
+    }
+    worst = std::max(worst, ecc);
+    // Every source of the batch must have reached every survivor.
     for (NodeId t = 0; t < n(); ++t) {
-      if (t == s || excluded[t]) continue;
-      CS_CHECK_MSG(dist[t] != kInf,
+      if (excluded[t]) continue;
+      bool all_reached = true;
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::size_t lo = 64 * w;
+        const std::uint64_t want =
+            count >= lo + 64 ? ~std::uint64_t{0}
+            : count > lo     ? (std::uint64_t{1} << (count - lo)) - 1
+                             : 0;
+        all_reached &= (st.bits[std::size_t{t} * block + w] & want) == want;
+      }
+      CS_CHECK_MSG(all_reached,
                    "faulty set disconnects the topology (not "
                    "(f+1)-connected?)");
-      worst = std::max(worst, dist[t]);
     }
   }
   return worst;

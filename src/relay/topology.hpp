@@ -36,15 +36,20 @@ class Topology {
   [[nodiscard]] std::uint32_t distance(NodeId s, NodeId t,
                                        const std::vector<bool>& excluded) const;
 
-  /// Max over non-excluded pairs of dist_{G−excluded}(s, t), one BFS per
-  /// source. Throws (CS_CHECK) when the exclusions disconnect the
-  /// survivors. This is the per-faulty-set step of worst_case_distance,
-  /// exposed for callers that need one concrete fault set evaluated
-  /// exactly (see relay::compute_effective's sampled regime).
+  /// Max over non-excluded pairs of dist_{G−excluded}(s, t). Throws
+  /// (CS_CHECK) when the exclusions disconnect the survivors. This is the
+  /// per-faulty-set step of worst_case_distance, exposed for callers that
+  /// need one concrete fault set evaluated exactly (see
+  /// relay::compute_effective's sampled regime).
   ///
-  /// `source_budget` = 0 (the default) runs one BFS per surviving source —
-  /// exhaustive, the historical behavior. A positive budget caps the BFS
-  /// count at that many evenly-strided sources: the returned eccentricity
+  /// Evaluated as a bit-parallel multi-source BFS: 64 sources per word, up
+  /// to 4 words per node, so one level-synchronous sweep serves 256 sources
+  /// and a level costs O(frontier edges · words). The word count follows
+  /// the source count (a 16-source sample uses one word per node).
+  ///
+  /// `source_budget` = 0 (the default) takes every surviving source —
+  /// exhaustive, the historical behavior. A positive budget caps the
+  /// sources at that many, evenly strided: the returned eccentricity
   /// becomes a lower bound (exact on vertex-transitive graphs), but the
   /// connectivity CS_CHECK stays exact — any single source reaching every
   /// survivor proves the survivor graph connected.
@@ -62,9 +67,11 @@ class Topology {
   /// D_f that bounds the relay path length, hence the effective end-to-end
   /// delay D_f · d_hop. Requires survives_faults(f).
   ///
-  /// Evaluated with one BFS per (subset, source). When the number of size-f
-  /// subsets fits the deterministic budget (kWorstCaseSubsetBudget — always
-  /// the case for n ≤ 12) the walk is exhaustive and the result exact;
+  /// Evaluated with one worst_distance_with_faults call per subset (every
+  /// source, or a strided sample beyond kWorstCaseSourceBudget). When the
+  /// number of size-f subsets fits the deterministic budget
+  /// (kWorstCaseSubsetBudget — always the case for n ≤ 12) the walk is
+  /// exhaustive and the result exact;
   /// beyond the budget a fixed sample is probed instead — every node's
   /// first-f-neighbors cut plus seeded random subsets — so n ≥ 64
   /// ring-of-cliques sweeps finish. The sampled estimate is a lower bound
@@ -77,13 +84,14 @@ class Topology {
   static constexpr std::uint64_t kWorstCaseSubsetBudget = 2048;
 
   /// Source budget for the exhaustive walk: above this n even the f = 0
-  /// all-pairs eccentricity (one BFS per source) is a cliff, so
+  /// all-pairs eccentricity (every node a source) is a cliff, so
   /// worst_case_distance switches to the sampled regime and every probe
   /// samples its BFS sources (see sampled_source_cap).
   static constexpr std::uint32_t kWorstCaseSourceBudget = 256;
 
   /// BFS sources per sampled-regime probe at this n. Shrinks past 2^16
-  /// nodes so a 10^6-node analysis stays at a handful of O(n·deg) walks.
+  /// nodes so a 10^6-node analysis stays a handful of O(n·deg) sweeps of
+  /// one word per node.
   [[nodiscard]] std::uint32_t sampled_source_cap() const noexcept {
     return n() <= (1u << 16) ? kWorstCaseSourceBudget : 16u;
   }

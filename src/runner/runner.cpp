@@ -490,13 +490,8 @@ std::vector<double> local_skew_series(const sim::PulseTrace& trace,
       }
     }
     series[r] = worst;
-    if (r < deltas.size()) {
-      const relay::EpochDelta& delta = deltas[r];
-      for (const NodeId v : delta.joins) down[v] = false;
-      for (const auto& [a, b] : delta.removed) topo.remove_edge(a, b);
-      for (const auto& [a, b] : delta.added) topo.add_edge(a, b);
-      for (const NodeId v : delta.leaves) down[v] = true;
-    }
+    if (r < deltas.size())
+      relay::TopologySchedule::apply(deltas[r], topo, down);
   }
   return series;
 }

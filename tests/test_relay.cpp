@@ -12,6 +12,8 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/params.hpp"
 #include "relay/topology.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace crusader::relay {
 namespace {
@@ -201,6 +204,91 @@ TEST(Topology, SampledWalkIsDeterministicAndCoversLargeN) {
   EXPECT_GE(d3, d0);
   EXPECT_EQ(d3, topo.worst_case_distance(3));
   EXPECT_TRUE(topo.survives_faults(3));  // exact even at n = 64
+}
+
+/// Pairwise reference for worst_distance_with_faults: the same strided
+/// source sample, then one Topology::distance per (source, survivor) pair.
+/// nullopt when some source misses some survivor (the kernel must throw).
+std::optional<std::uint32_t> pairwise_worst_distance(
+    const Topology& topo, const std::vector<bool>& excluded,
+    std::uint32_t source_budget) {
+  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
+  std::vector<NodeId> survivors;
+  for (NodeId v = 0; v < topo.n(); ++v)
+    if (!excluded[v]) survivors.push_back(v);
+  std::vector<NodeId> sources = survivors;
+  if (source_budget > 0 && sources.size() > source_budget) {
+    sources.clear();
+    for (std::uint32_t i = 0; i < source_budget; ++i)
+      sources.push_back(
+          survivors[std::size_t{i} * survivors.size() / source_budget]);
+  }
+  std::uint32_t worst = 0;
+  for (const NodeId s : sources) {
+    for (const NodeId t : survivors) {
+      if (t == s) continue;
+      const std::uint32_t d = topo.distance(s, t, excluded);
+      if (d == kInf) return std::nullopt;
+      worst = std::max(worst, d);
+    }
+  }
+  return worst;
+}
+
+TEST(Topology, BitParallelKernelMatchesPairwiseDistances) {
+  // Every factory family, the empty mask plus seeded random masks, and
+  // source budgets on both sides of every word (64) and batch (256)
+  // boundary. ring(300) at budget 0 runs 300 sources: two batches.
+  const Topology families[] = {
+      Topology::complete(40),        Topology::ring(300),
+      Topology::chordal_ring(150, 3), Topology::ring_of_cliques(10, 8, 2),
+      Topology::hypercube(7),         Topology::random_connected(70, 2, 11)};
+  const std::uint32_t budgets[] = {0, 1, 63, 64, 65, 128, 256};
+  util::Rng rng(0xb17b0f5ULL);
+  std::size_t connected_cases = 0;
+  std::size_t disconnected_cases = 0;
+  for (const Topology& topo : families) {
+    for (int m = 0; m < 4; ++m) {
+      std::vector<bool> excluded(topo.n(), false);
+      // Mask 0 is empty; the others exclude about 3 % of the nodes.
+      if (m > 0)
+        for (NodeId v = 0; v < topo.n(); ++v)
+          excluded[v] = rng.below(32) == 0;
+      for (const std::uint32_t budget : budgets) {
+        SCOPED_TRACE(testing::Message() << "n=" << topo.n() << " mask=" << m
+                                        << " budget=" << budget);
+        const auto expected = pairwise_worst_distance(topo, excluded, budget);
+        if (expected) {
+          ++connected_cases;
+          EXPECT_EQ(topo.worst_distance_with_faults(excluded, budget),
+                    *expected);
+        } else {
+          ++disconnected_cases;
+          EXPECT_THROW((void)topo.worst_distance_with_faults(excluded, budget),
+                       util::CheckFailure);
+        }
+      }
+    }
+  }
+  EXPECT_GE(connected_cases, 140u);
+  EXPECT_GE(disconnected_cases, 14u);
+}
+
+TEST(Topology, BitParallelKernelRejectsDisconnectingMask) {
+  const auto topo = Topology::ring(8);
+  std::vector<bool> cut(8, false);
+  cut[2] = true;
+  cut[6] = true;  // {0, 1, 7} and {3, 4, 5} no longer meet
+  try {
+    (void)topo.worst_distance_with_faults(cut);
+    FAIL() << "disconnecting mask accepted";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "faulty set disconnects the topology (not "
+                  "(f+1)-connected?)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 sim::ModelParams hop_model(std::uint32_t n, std::uint32_t f) {

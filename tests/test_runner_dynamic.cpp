@@ -86,6 +86,106 @@ TEST(Schedule, GenerateReplaysExactlyFromSeedAndPolicy) {
                 .digest());
 }
 
+TEST(Schedule, DigestsPinnedAcrossFamiliesPoliciesAndSeeds) {
+  // Recorded while the generator still ran a whole-graph connectivity BFS
+  // for every rewire and leave. Its early-exit local checks (a still
+  // reaches b; a leaver's neighbors still reach each other) must realize
+  // the same deltas byte for byte. On a ring, a ring-repair rewire
+  // reconnects the edge it just cut, so those rows are seed-independent.
+  const relay::Topology families[] = {relay::Topology::hypercube(9),
+                                      relay::Topology::ring(24),
+                                      relay::Topology::chordal_ring(40, 2)};
+  const relay::ReconnectPolicy reconnects[] = {
+      relay::ReconnectPolicy::kRandom, relay::ReconnectPolicy::kPreferential,
+      relay::ReconnectPolicy::kRingRepair};
+  const struct {
+    double rate;
+    std::uint32_t batch;
+  } churn[] = {{0.1, 0}, {0.0, 3}, {0.25, 2}};
+  // [family][reconnect][churn][seed − 1]
+  constexpr std::uint64_t kDigest[3][3][3][3] = {
+      {  // hypercube(9)
+       {  // random
+        {0x2578eeb989c01f1dULL, 0x7c8311d64557bc70ULL, 0x8abb6d1f262f39bcULL},
+        {0xf4737aae54703dbbULL, 0x57ab1a76f8858f68ULL, 0xc4f53b6395eb3825ULL},
+        {0xff1ba3346d153b1aULL, 0x64862852ae43e830ULL, 0x8f26f654b99505c3ULL},
+       },
+       {  // preferential
+        {0x3b61ac7b283713d1ULL, 0xf5e557b79eee8520ULL, 0xf6d8a98ad0a553d0ULL},
+        {0xf2becac688aae6edULL, 0x6622f4bfcb75a2f2ULL, 0x1d0b529a378ae8d5ULL},
+        {0x1160fc0084b86936ULL, 0x7720ceda8f9dca38ULL, 0xf837fe53bade838dULL},
+       },
+       {  // ring-repair
+        {0xbfb483edd32ec155ULL, 0x2ca8362bd2bb80deULL, 0x53bd12bbf4679452ULL},
+        {0x31fef4a09ba62b19ULL, 0xbf0e075c02e67cc1ULL, 0xdf3b037761d082c1ULL},
+        {0x780617bec8a07e00ULL, 0x9a672096e8647f60ULL, 0xdcd65c9f461b2398ULL},
+       },
+      },
+      {  // ring(24)
+       {  // random
+        {0x5bb6d857923c3855ULL, 0x7d40307368b01580ULL, 0x0f6c483413b8ee4dULL},
+        {0x2d7cf0ae64de7d57ULL, 0xa637deb0e1a103e8ULL, 0x29b6e6648e0ef94bULL},
+        {0xe318e14b3f24209cULL, 0xf2e528de74a9f312ULL, 0x2f2706dee60840b8ULL},
+       },
+       {  // preferential
+        {0x8c5e7e2887ff6a29ULL, 0x14a82774a0a5a622ULL, 0x10738aaf119ca335ULL},
+        {0x3b96f1ed6319be8dULL, 0xfec42863bb1a3ad3ULL, 0x01585d33542fa3e3ULL},
+        {0x47964fc60bce0aebULL, 0xe059cbe8e6173f9aULL, 0xac58ae81053ee547ULL},
+       },
+       {  // ring-repair
+        {0xbd02789d650b5a67ULL, 0xbd02789d650b5a67ULL, 0xbd02789d650b5a67ULL},
+        {0x8358f2563862d0c2ULL, 0x35a69966b65462c1ULL, 0x4302fb06fde11e63ULL},
+        {0x810c91435b65b31bULL, 0xa4faf9ec52c4867aULL, 0x1c836d8e97cfdd76ULL},
+       },
+      },
+      {  // chordal_ring(40, 2)
+       {  // random
+        {0xa343534ca623ae22ULL, 0x65c297baa51500cbULL, 0x4e8f34b298ef0cafULL},
+        {0x9f5eee678e69389dULL, 0x36346dff2909415eULL, 0x38e8582dd3b0a43fULL},
+        {0x1f88ee4396db5dcbULL, 0x56007676d27a441cULL, 0xd4e1cbb11e600dd2ULL},
+       },
+       {  // preferential
+        {0xb2b50feabdf5426bULL, 0xd7d77844b3efbe8eULL, 0x337573ba14e9b3deULL},
+        {0xd00598140281300bULL, 0x788cd28eadcb2e49ULL, 0xbab5fc5c7ce2eed0ULL},
+        {0x91187b3f6fe02a18ULL, 0xc606df7477522b14ULL, 0x5828bb8c6f9893ecULL},
+       },
+       {  // ring-repair
+        {0x4169a343f7a6d2edULL, 0x4169a343f7a6d2edULL, 0x4169a343f7a6d2edULL},
+        {0xaf2ee52f77ed5720ULL, 0x748c968d660b6726ULL, 0x0921207995e3e44dULL},
+        {0xaaac1a0ad56c4df1ULL, 0xd84c5e3eff9ba506ULL, 0x02c47ec763f2e65eULL},
+       },
+      },
+  };
+  for (std::size_t f = 0; f < 3; ++f)
+    for (std::size_t p = 0; p < 3; ++p)
+      for (std::size_t c = 0; c < 3; ++c)
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          const auto schedule = relay::TopologySchedule::generate(
+              families[f],
+              churn_policy(churn[c].rate, churn[c].batch, reconnects[p]), 12,
+              seed);
+          EXPECT_EQ(schedule.digest(), kDigest[f][p][c][seed - 1])
+              << "family " << f << ", reconnect " << p << ", churn " << c
+              << ", seed " << seed;
+        }
+}
+
+TEST(Schedule, DisconnectedInitialGraphKeepsWholeGraphCheck) {
+  // Two disjoint 4-rings: the live graph is never connected, so the
+  // whole-graph check rejects every rewire and every leave. The local
+  // checks alone would accept them (a ring minus one edge or node stays
+  // connected), so this pins the fallback.
+  relay::Topology topo(8);
+  for (NodeId v = 0; v < 4; ++v) {
+    topo.add_edge(v, (v + 1) % 4);
+    topo.add_edge(4 + v, 4 + (v + 1) % 4);
+  }
+  const auto schedule = relay::TopologySchedule::generate(
+      topo, churn_policy(0.5, 1), 6, 3);
+  EXPECT_EQ(schedule.deltas().size(), 6u);
+  EXPECT_FALSE(schedule.dynamic());
+}
+
 TEST(Schedule, EveryEpochGraphIsLiveConnectedWithIsolatedDownNodes) {
   const auto topo = relay::Topology::hypercube(4);
   for (const auto reconnect : {relay::ReconnectPolicy::kRandom,
