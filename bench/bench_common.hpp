@@ -1,7 +1,7 @@
 #pragma once
-// Shared plumbing for the experiment benches (E1–E10, see DESIGN.md and
-// EXPERIMENTS.md). Every bench prints one or more paper-style tables to
-// stdout via util::Table.
+// Shared plumbing for the experiment benches (E1–E10; each bench_*.cpp
+// header names the claim its table checks). Every bench prints one or more
+// paper-style tables to stdout via util::Table.
 
 #include <algorithm>
 #include <cstddef>

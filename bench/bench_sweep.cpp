@@ -572,8 +572,8 @@ int run_bench(const std::optional<std::string>& json_path,
     entry.seed = 1;
     entry.grid = summary.grid;
     entry.cells = 3;
-    entry.worlds.push_back({runner::WorldKind::kComplete, summary.cost_ratio,
-                            summary.cost_ratio, 1});
+    entry.worlds.push_back({runner::WorldKind::kComplete,
+                            {{{summary.cost_ratio, summary.cost_ratio, 1}}}});
     if (gate_trend) {
       std::ifstream in(*history_path);
       const auto baseline = runner::load_baseline(in, entry.grid);

@@ -118,6 +118,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/campaign.hpp"
@@ -167,6 +168,20 @@ std::uint64_t need_u64(const std::string& key, const std::string& value) {
   if (!parsed)
     throw FlagError{"bad numeric value for --" + key + ": '" + value + "'"};
   return *parsed;
+}
+
+/// Replaces an enum-valued axis with the comma-separated `value`, each item
+/// read by `parse`; the first item it rejects fails as "unknown <noun>".
+template <typename T>
+void parse_list(std::vector<T>& axis, const std::string& value,
+                std::optional<T> (*parse)(std::string_view),
+                const std::string& noun) {
+  axis.clear();
+  for (const auto& s : split(value)) {
+    const auto parsed = parse(s);
+    if (!parsed) throw FlagError{"unknown " + noun + " '" + s + "'"};
+    axis.push_back(*parsed);
+  }
 }
 
 void print_table(std::ostream& os, const runner::SweepReport& report) {
@@ -250,19 +265,9 @@ int main(int argc, char** argv) {
     }
     try {
       if (key == "world") {
-        grid.worlds.clear();
-        for (const auto& s : split(value)) {
-          const auto w = runner::parse_world(s);
-          if (!w) return fail("unknown world '" + s + "'");
-          grid.worlds.push_back(*w);
-        }
+        parse_list(grid.worlds, value, runner::parse_world, "world");
       } else if (key == "protocols") {
-        grid.protocols.clear();
-        for (const auto& s : split(value)) {
-          const auto p = runner::parse_protocol(s);
-          if (!p) return fail("unknown protocol '" + s + "'");
-          grid.protocols.push_back(*p);
-        }
+        parse_list(grid.protocols, value, runner::parse_protocol, "protocol");
       } else if (key == "n") {
         n_given = true;
         grid.ns.clear();
@@ -296,19 +301,10 @@ int main(int argc, char** argv) {
         for (const auto& s : split(value))
           grid.u_tildes.push_back(need_double(key, s));
       } else if (key == "topology") {
-        grid.topologies.clear();
-        for (const auto& s : split(value)) {
-          const auto t = runner::parse_topology(s);
-          if (!t) return fail("unknown topology '" + s + "'");
-          grid.topologies.push_back(*t);
-        }
+        parse_list(grid.topologies, value, runner::parse_topology, "topology");
       } else if (key == "relay-fault" || key == "relay_fault") {
-        grid.relay_faults.clear();
-        for (const auto& s : split(value)) {
-          const auto rf = runner::parse_relay_fault(s);
-          if (!rf) return fail("unknown relay fault '" + s + "'");
-          grid.relay_faults.push_back(*rf);
-        }
+        parse_list(grid.relay_faults, value, runner::parse_relay_fault,
+                   "relay fault");
         // An empty list would silently drop every faulty relay grid point
         // (expand() pushes nothing for them) and let a --gate pass
         // vacuously; fail loudly instead.
@@ -334,19 +330,11 @@ int main(int argc, char** argv) {
         if (grid.delays.empty() && grid.custom_delays.empty())
           return fail("--delays needs at least one value");
       } else if (key == "clocks") {
-        grid.clock_kinds.clear();
-        for (const auto& s : split(value)) {
-          const auto ck = runner::parse_clock_kind(s);
-          if (!ck) return fail("unknown clock kind '" + s + "'");
-          grid.clock_kinds.push_back(*ck);
-        }
+        parse_list(grid.clock_kinds, value, runner::parse_clock_kind,
+                   "clock kind");
       } else if (key == "crypto") {
-        grid.cryptos.clear();
-        for (const auto& s : split(value)) {
-          const auto c = runner::parse_crypto_mode(s);
-          if (!c) return fail("unknown crypto mode '" + s + "'");
-          grid.cryptos.push_back(*c);
-        }
+        parse_list(grid.cryptos, value, runner::parse_crypto_mode,
+                   "crypto mode");
         if (grid.cryptos.empty())
           return fail("--crypto needs at least one value");
       } else if (key == "byz") {
@@ -404,12 +392,8 @@ int main(int argc, char** argv) {
         if (grid.search_budgets.empty())
           return fail("--search-budget needs at least one value");
       } else if (key == "reconnect") {
-        grid.reconnects.clear();
-        for (const auto& s : split(value)) {
-          const auto policy = runner::parse_reconnect(s);
-          if (!policy) return fail("unknown reconnect policy '" + s + "'");
-          grid.reconnects.push_back(*policy);
-        }
+        parse_list(grid.reconnects, value, runner::parse_reconnect,
+                   "reconnect policy");
         if (grid.reconnects.empty())
           return fail("--reconnect needs at least one value");
       } else if (key == "d") {

@@ -1,0 +1,72 @@
+#!/usr/bin/env bash
+# CI smoke for sweep_cli's flag validation (registered as the ctest
+# `smoke_sweep_cli_rejects`, label `integration`): one malformed value for
+# every list flag, the empty lists that must fail loudly, and the strict
+# numeric scalars. Each must exit 2 before any cell runs, with exactly the
+# stderr line below.
+#
+# Usage: smoke_sweep_cli_rejects.sh <path-to-sweep_cli> <workdir>
+set -euo pipefail
+
+CLI=$1
+DIR=$2
+
+rm -rf "$DIR"
+mkdir -p "$DIR"
+
+failures=0
+expect_reject() {
+  local flag=$1
+  local want=$2
+  local status=0
+  "$CLI" "$flag" --rounds=1 >"$DIR/stdout.txt" 2>"$DIR/stderr.txt" ||
+    status=$?
+  local got
+  got=$(cat "$DIR/stderr.txt")
+  if [[ $status -ne 2 || "$got" != "$want" ]]; then
+    echo "FAIL $flag: exit $status, stderr '$got'; want exit 2, '$want'"
+    failures=$((failures + 1))
+  fi
+}
+
+echo "== enum-valued list flags reject unknown spellings =="
+expect_reject --world=mars "sweep_cli: unknown world 'mars'"
+expect_reject --protocols=paxos "sweep_cli: unknown protocol 'paxos'"
+expect_reject --topology=torus "sweep_cli: unknown topology 'torus'"
+expect_reject --relay-fault=lazy "sweep_cli: unknown relay fault 'lazy'"
+expect_reject --delays=slow "sweep_cli: unknown delay policy 'slow'"
+expect_reject --delays=custom:bogus "sweep_cli: bad custom delay 'custom:bogus' (want custom:fixed:<fraction in [0,1]>, custom:alternate, or custom:target:<node>)"
+expect_reject --clocks=atomic "sweep_cli: unknown clock kind 'atomic'"
+expect_reject --crypto=rsa "sweep_cli: unknown crypto mode 'rsa'"
+expect_reject --byz=evil "sweep_cli: unknown byz strategy 'evil'"
+expect_reject --reconnect=teleport "sweep_cli: unknown reconnect policy 'teleport'"
+
+echo "== numeric list flags reject malformed and out-of-range values =="
+expect_reject --n=0 "sweep_cli: --n takes cluster sizes >= 1, got '0'"
+expect_reject --n=abc "sweep_cli: bad numeric value for --n: 'abc'"
+expect_reject --faults=-1 "sweep_cli: bad numeric value for --faults: '-1'"
+expect_reject --vartheta=x "sweep_cli: bad numeric value for --vartheta: 'x'"
+expect_reject --u=x "sweep_cli: bad numeric value for --u: 'x'"
+expect_reject --u-tilde=x "sweep_cli: bad numeric value for --u-tilde: 'x'"
+expect_reject --churn-rate=2 "sweep_cli: --churn-rate takes rates in [0,1], got '2'"
+expect_reject --join-batch=-1 "sweep_cli: bad numeric value for --join-batch: '-1'"
+expect_reject --kllo-stab=0 "sweep_cli: --kllo-stab takes multipliers > 0, got '0'"
+expect_reject --search-budget=0 "sweep_cli: --search-budget takes counts >= 1, got '0'"
+
+echo "== empty lists fail loudly instead of dropping grid points =="
+expect_reject --relay-fault= "sweep_cli: --relay-fault needs at least one value"
+expect_reject --crypto= "sweep_cli: --crypto needs at least one value"
+expect_reject --reconnect= "sweep_cli: --reconnect needs at least one value"
+expect_reject --delays= "sweep_cli: --delays needs at least one value"
+expect_reject --world= "sweep_cli: empty grid"
+expect_reject --protocols= "sweep_cli: empty grid"
+expect_reject --clocks= "sweep_cli: empty grid"
+
+echo "== scalars parse strictly =="
+expect_reject --gate=1.0x "sweep_cli: bad numeric value for --gate: '1.0x'"
+
+if [[ $failures -ne 0 ]]; then
+  echo "smoke_sweep_cli_rejects: $failures check(s) failed"
+  exit 1
+fi
+echo "smoke_sweep_cli_rejects: OK"

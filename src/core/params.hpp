@@ -3,7 +3,7 @@
 //
 // The paper's closed forms (Theorem 17, Corollary 4) are re-derived here from
 // the unambiguous proof steps, because the arXiv rendering of the constant
-// expressions is OCR-mangled (see DESIGN.md §2). The chain is:
+// expressions is OCR-mangled. The chain is:
 //
 //   Lemma 12 (validity error, honest dealer):
 //       δ ≥ δ_valid(S) = u + (ϑ−1)d + (ϑ²+ϑ−2)·S

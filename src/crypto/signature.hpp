@@ -6,8 +6,9 @@
 //  * HmacScheme     — tag = HMAC-SHA256(sk_signer, payload bytes); the Pki
 //                     acts as the verification oracle (it knows all keys).
 //                     Computationally real bytes; unforgeable inside the
-//                     simulation. This is the Dolev–Yao substitution
-//                     documented in DESIGN.md.
+//                     simulation. This is the Dolev–Yao substitution:
+//                     KnowledgeTracker below enforces what the paper's
+//                     unforgeability assumption grants the adversary.
 //  * SymbolicScheme — a registry of issued signatures; `verify` checks
 //                     membership. Fast path for large benchmark sweeps.
 //

@@ -16,9 +16,10 @@
 // (derived from the delay-d honest link of the execution where both are
 // honest). The views are interleaved on a master timeline
 //     g_j(L) = fast⁻¹(L) + (2−j)·c,   c = (d − 2ũ/3)/2 > 0,
-// under which every receive is ordered at or after its send (DESIGN.md §3.4
-// carries the slack calculation; well-definedness of the adversary's
-// behaviour is Lemma 18 of the paper).
+// under which every receive is ordered at or after its send (at the
+// zero-slack boundary TripleExecution::transfer relies on the engine's FIFO
+// order; well-definedness of the adversary's behaviour is Lemma 18 of the
+// paper).
 //
 // Recovered quantities: node i+1 pulses in Ex^i at real time L (identity
 // clock) and node i+2 at fast⁻¹(L); the per-execution skews telescope to

@@ -112,8 +112,8 @@ class Topology {
   [[nodiscard]] static Topology chordal_ring(std::uint32_t n,
                                              std::uint32_t stride);
   /// `cliques` cliques of size `size`, consecutive cliques joined by
-  /// `bridges` disjoint edges — the "balanced paths" example of EXPERIMENTS
-  /// E11.
+  /// `bridges` disjoint edges — the "balanced paths" topology of the E11
+  /// bench (bench/bench_sparse_network.cpp).
   [[nodiscard]] static Topology ring_of_cliques(std::uint32_t cliques,
                                                 std::uint32_t size,
                                                 std::uint32_t bridges);

@@ -1,14 +1,16 @@
 #include "runner/campaign.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "runner/export.hpp"
 
@@ -73,10 +75,43 @@ Manifest parse_manifest(const std::string& path, std::string content,
   return manifest;
 }
 
-/// Column indices the replay needs, resolved from the header once.
+/// Where a replayed CSV column lands in the ScenarioResult; the member's
+/// type says how the cell is read: a "1" flag, a count (0 when malformed),
+/// a double (NaN when empty), or the string as is.
+using ReplayMember =
+    std::variant<bool ScenarioResult::*, std::size_t ScenarioResult::*,
+                 double ScenarioResult::*, std::string ScenarioResult::*>;
+
+struct ReplayField {
+  std::string_view column;
+  ReplayMember member;
+};
+
+/// Every column the replay restores, in header-resolution order. The seed
+/// column is not restored but checked against the spec-derived seed.
+constexpr ReplayField kReplayFields[] = {
+    {"feasible", &ScenarioResult::feasible},
+    {"live", &ScenarioResult::live},
+    {"rounds_completed", &ScenarioResult::rounds_completed},
+    {"within_bound", &ScenarioResult::within_bound},
+    {"skew_ratio", &ScenarioResult::skew_ratio},
+    {"local_skew", &ScenarioResult::local_skew},
+    {"local_skew_ratio", &ScenarioResult::local_skew_ratio},
+    // Replayed so resumed campaigns feed --gate-kllo and the history
+    // k-tokens identically to a fresh run.
+    {"kllo_ratio", &ScenarioResult::kllo_ratio},
+    {"edge_age_min", &ScenarioResult::edge_age_min},
+    {"timed_out", &ScenarioResult::timed_out},
+    {"error", &ScenarioResult::error},
+};
+constexpr std::size_t kReplayCount = std::size(kReplayFields);
+
+/// Column indices the replay needs, resolved from the header once: the seed
+/// column, then one per kReplayFields entry.
 struct ReplayColumns {
-  std::size_t seed, feasible, live, rounds_completed, within_bound, skew_ratio,
-      local_skew, local_skew_ratio, kllo_ratio, edge_age_min, timed_out, error;
+  std::size_t seed;
+  std::array<std::size_t, kReplayCount> fields;
+  std::size_t last;  ///< the largest index; shorter rows are malformed
 };
 
 ReplayColumns resolve_columns(const std::vector<std::string>& header) {
@@ -85,18 +120,35 @@ ReplayColumns resolve_columns(const std::vector<std::string>& header) {
       if (header[i] == name) return i;
     bail("recorded CSV lacks column '" + std::string(name) + "'");
   };
-  return ReplayColumns{find("seed"),
-                       find("feasible"),
-                       find("live"),
-                       find("rounds_completed"),
-                       find("within_bound"),
-                       find("skew_ratio"),
-                       find("local_skew"),
-                       find("local_skew_ratio"),
-                       find("kllo_ratio"),
-                       find("edge_age_min"),
-                       find("timed_out"),
-                       find("error")};
+  ReplayColumns columns{};
+  columns.seed = find("seed");
+  columns.last = columns.seed;
+  for (std::size_t f = 0; f < kReplayCount; ++f) {
+    columns.fields[f] = find(kReplayFields[f].column);
+    columns.last = std::max(columns.last, columns.fields[f]);
+  }
+  return columns;
+}
+
+/// Restores one recorded cell into its ScenarioResult member.
+void replay_cell(const ReplayMember& member, const std::string& cell,
+                 ScenarioResult& result) {
+  std::visit(
+      [&](auto m) {
+        using T = std::remove_reference_t<decltype(result.*m)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          result.*m = cell == "1";
+        } else if constexpr (std::is_same_v<T, std::size_t>) {
+          const auto count = parse_u64_strict(cell);
+          result.*m = count ? static_cast<std::size_t>(*count) : 0;
+        } else if constexpr (std::is_same_v<T, double>) {
+          const auto value = parse_double_strict(cell);
+          result.*m = value ? *value : ScenarioResult::kNan;
+        } else {
+          result.*m = cell;
+        }
+      },
+      member);
 }
 
 }  // namespace
@@ -172,7 +224,7 @@ CsvCampaign::CsvCampaign(Options options,
           std::string_view(*csv_content)
               .substr(ends[i], ends[i + 1] - ends[i] - 1);
       const auto row = parse_csv_fields(record);
-      if (row.size() <= columns.error)
+      if (row.size() <= columns.last)
         bail("recorded row #" + std::to_string(i) + " is malformed");
       ScenarioResult result;
       result.spec = specs[i];
@@ -182,35 +234,12 @@ CsvCampaign::CsvCampaign(Options options,
              " has seed " + row[columns.seed] + ", expected " +
              std::to_string(result.seed) +
              "; was this campaign run under a different --seed?");
-      result.timed_out = row[columns.timed_out] == "1";
+      for (std::size_t f = 0; f < kReplayCount; ++f)
+        replay_cell(kReplayFields[f].member, row[columns.fields[f]], result);
       if (result.timed_out) {
         done_ = i;  // retry the timed-out cell and the rows after it
         break;
       }
-      result.feasible = row[columns.feasible] == "1";
-      result.live = row[columns.live] == "1";
-      const auto rounds = parse_u64_strict(row[columns.rounds_completed]);
-      result.rounds_completed =
-          rounds ? static_cast<std::size_t>(*rounds) : 0;
-      result.within_bound = row[columns.within_bound] == "1";
-      const auto ratio = parse_double_strict(row[columns.skew_ratio]);
-      result.skew_ratio =
-          ratio ? *ratio : std::numeric_limits<double>::quiet_NaN();
-      const auto local = parse_double_strict(row[columns.local_skew]);
-      result.local_skew =
-          local ? *local : std::numeric_limits<double>::quiet_NaN();
-      const auto lratio = parse_double_strict(row[columns.local_skew_ratio]);
-      result.local_skew_ratio =
-          lratio ? *lratio : std::numeric_limits<double>::quiet_NaN();
-      // Replayed so resumed campaigns feed --gate-kllo and the history
-      // k-tokens identically to a fresh run.
-      const auto kratio = parse_double_strict(row[columns.kllo_ratio]);
-      result.kllo_ratio =
-          kratio ? *kratio : std::numeric_limits<double>::quiet_NaN();
-      const auto age = parse_double_strict(row[columns.edge_age_min]);
-      result.edge_age_min =
-          age ? *age : std::numeric_limits<double>::quiet_NaN();
-      result.error = row[columns.error];
       if (replay) replay(result);
     }
   }

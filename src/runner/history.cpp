@@ -1,5 +1,6 @@
 #include "runner/history.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -48,25 +49,13 @@ HistoryEntry make_history_entry(const SweepSummary& summary,
   for (const auto& w : summary.worlds) {
     HistoryEntry::WorldRatio ratio;
     ratio.world = w.world;
-    ratio.count = w.ratio.count();
-    if (ratio.count > 0) {
-      ratio.max = w.ratio.max();
-      ratio.mean = w.ratio.mean();
-    }
-    ratio.lcount = w.local.count();
-    if (ratio.lcount > 0) {
-      ratio.lmax = w.local.max();
-      ratio.lmean = w.local.mean();
-    }
-    ratio.kcount = w.kllo.count();
-    if (ratio.kcount > 0) {
-      ratio.kmax = w.kllo.max();
-      ratio.kmean = w.kllo.mean();
-    }
-    ratio.acount = w.adaptive.count();
-    if (ratio.acount > 0) {
-      ratio.amax = w.adaptive.max();
-      ratio.amean = w.adaptive.mean();
+    for (std::size_t s = 0; s < std::size(kTrendSeries); ++s) {
+      auto& out = ratio.series[s];
+      out.count = w.series[s].count();
+      if (out.count > 0) {
+        out.max = w.series[s].max();
+        out.mean = w.series[s].mean();
+      }
     }
     entry.worlds.push_back(ratio);
   }
@@ -79,23 +68,17 @@ std::string format_history_line(const HistoryEntry& entry) {
      << " cells=" << entry.cells << " errors=" << entry.errors
      << " timed_out=" << entry.timed_out;
   for (const auto& w : entry.worlds) {
-    os << ' ' << to_string(w.world) << ":max=" << fmt(w.max)
-       << ",mean=" << fmt(w.mean) << ",count=" << w.count;
-    // Gradient stats ride the same token, appended only when dynamic cells
-    // contributed — grids without churn keep their historical bytes.
-    if (w.lcount > 0)
-      os << ",lmax=" << fmt(w.lmax) << ",lmean=" << fmt(w.lmean)
-         << ",lcount=" << w.lcount;
-    // KLLO envelope stats, same optionality: only dynamic relay cells feed
-    // kcount, so pre-KLLO grids format byte-identically.
-    if (w.kcount > 0)
-      os << ",kmax=" << fmt(w.kmax) << ",kmean=" << fmt(w.kmean)
-         << ",kcount=" << w.kcount;
-    // Adaptive-adversary stats, same optionality: only adaptive relay cells
-    // feed acount, so pre-adaptive grids format byte-identically.
-    if (w.acount > 0)
-      os << ",amax=" << fmt(w.amax) << ",amean=" << fmt(w.amean)
-         << ",acount=" << w.acount;
+    os << ' ' << to_string(w.world) << ':';
+    const char* sep = "";
+    for (std::size_t s = 0; s < std::size(kTrendSeries); ++s) {
+      const auto& row = kTrendSeries[s];
+      const auto& series = w.series[s];
+      if (!row.required && series.count == 0) continue;
+      os << sep << row.prefix << "max=" << fmt(series.max) << ','
+         << row.prefix << "mean=" << fmt(series.mean) << ',' << row.prefix
+         << "count=" << series.count;
+      sep = ",";
+    }
   }
   return os.str();
 }
@@ -145,80 +128,52 @@ std::optional<HistoryEntry> parse_history_line(std::string_view line) {
       if (!timed_out) return std::nullopt;
       entry.timed_out = static_cast<std::size_t>(*timed_out);
     } else {
-      // world:max=..,mean=..,count=..
+      // world:max=..,mean=..,count=..[,<prefix>max=..,...]
       const auto colon = token.find(':');
       if (colon == std::string::npos) return std::nullopt;
       const auto world = parse_world(std::string_view(token).substr(0, colon));
       if (!world) return std::nullopt;
       HistoryEntry::WorldRatio ratio;
       ratio.world = *world;
+      // Per series, the fields seen: bit 0 max, bit 1 mean, bit 2 count.
+      std::array<unsigned, std::size(kTrendSeries)> seen{};
       std::string_view rest = std::string_view(token).substr(colon + 1);
-      bool max_seen = false;
-      bool mean_seen = false;
-      bool count_seen = false;
       while (!rest.empty()) {
         const auto comma = rest.find(',');
         const std::string_view part = rest.substr(0, comma);
         rest = comma == std::string_view::npos ? std::string_view{}
                                                : rest.substr(comma + 1);
-        if (const auto v = parse_kv(part, "max")) {
-          const auto max = parse_double_strict(*v);
-          if (!max) return std::nullopt;
-          ratio.max = *max;
-          max_seen = true;
-        } else if (const auto v = parse_kv(part, "mean")) {
-          const auto mean = parse_double_strict(*v);
-          if (!mean) return std::nullopt;
-          ratio.mean = *mean;
-          mean_seen = true;
-        } else if (const auto v = parse_kv(part, "count")) {
-          const auto count = parse_u64_strict(*v);
-          if (!count) return std::nullopt;
-          ratio.count = static_cast<std::size_t>(*count);
-          count_seen = true;
-        } else if (const auto v = parse_kv(part, "lmax")) {
-          const auto lmax = parse_double_strict(*v);
-          if (!lmax) return std::nullopt;
-          ratio.lmax = *lmax;
-        } else if (const auto v = parse_kv(part, "lmean")) {
-          const auto lmean = parse_double_strict(*v);
-          if (!lmean) return std::nullopt;
-          ratio.lmean = *lmean;
-        } else if (const auto v = parse_kv(part, "lcount")) {
-          const auto lcount = parse_u64_strict(*v);
-          if (!lcount) return std::nullopt;
-          ratio.lcount = static_cast<std::size_t>(*lcount);
-        } else if (const auto v = parse_kv(part, "kmax")) {
-          const auto kmax = parse_double_strict(*v);
-          if (!kmax) return std::nullopt;
-          ratio.kmax = *kmax;
-        } else if (const auto v = parse_kv(part, "kmean")) {
-          const auto kmean = parse_double_strict(*v);
-          if (!kmean) return std::nullopt;
-          ratio.kmean = *kmean;
-        } else if (const auto v = parse_kv(part, "kcount")) {
-          const auto kcount = parse_u64_strict(*v);
-          if (!kcount) return std::nullopt;
-          ratio.kcount = static_cast<std::size_t>(*kcount);
-        } else if (const auto v = parse_kv(part, "amax")) {
-          const auto amax = parse_double_strict(*v);
-          if (!amax) return std::nullopt;
-          ratio.amax = *amax;
-        } else if (const auto v = parse_kv(part, "amean")) {
-          const auto amean = parse_double_strict(*v);
-          if (!amean) return std::nullopt;
-          ratio.amean = *amean;
-        } else if (const auto v = parse_kv(part, "acount")) {
-          const auto acount = parse_u64_strict(*v);
-          if (!acount) return std::nullopt;
-          ratio.acount = static_cast<std::size_t>(*acount);
-        } else {
+        const auto eq = part.find('=');
+        if (eq == std::string_view::npos || eq + 1 == part.size())
           return std::nullopt;
+        const std::string_view key = part.substr(0, eq);
+        const std::string_view value = part.substr(eq + 1);
+        bool known = false;
+        for (std::size_t s = 0; s < std::size(kTrendSeries) && !known; ++s) {
+          const std::string_view prefix = kTrendSeries[s].prefix;
+          if (key.substr(0, prefix.size()) != prefix) continue;
+          const std::string_view field = key.substr(prefix.size());
+          auto& series = ratio.series[s];
+          if (field == "max" || field == "mean") {
+            const auto v = parse_double_strict(value);
+            if (!v) return std::nullopt;
+            (field == "max" ? series.max : series.mean) = *v;
+          } else if (field == "count") {
+            const auto count = parse_u64_strict(value);
+            if (!count) return std::nullopt;
+            series.count = static_cast<std::size_t>(*count);
+          } else {
+            continue;
+          }
+          seen[s] |= field == "max" ? 1u : field == "mean" ? 2u : 4u;
+          known = true;
         }
+        if (!known) return std::nullopt;
       }
-      // The l* tokens are optional (pre-dynamic lines lack them); the
-      // global triple stays mandatory.
-      if (!max_seen || !mean_seen || !count_seen) return std::nullopt;
+      // Optional series are absent from lines of grids that never fed them
+      // (and from lines older than the series); required triples are not.
+      for (std::size_t s = 0; s < std::size(kTrendSeries); ++s)
+        if (kTrendSeries[s].required && seen[s] != 7u) return std::nullopt;
       entry.worlds.push_back(ratio);
     }
   } while (tokens >> token);
@@ -278,50 +233,32 @@ std::vector<std::string> check_trend(
                        " timed-out cell(s): a run that did not fully execute "
                        "cannot attest a trend");
   if (!baseline) return failures;
+  // A world is comparable only when every required series counted rows.
+  const auto comparable = [](const HistoryEntry::WorldRatio& w) {
+    for (std::size_t s = 0; s < std::size(kTrendSeries); ++s)
+      if (kTrendSeries[s].required && w.series[s].count == 0) return false;
+    return true;
+  };
   for (const auto& w : current.worlds) {
-    if (w.count == 0) continue;
+    if (!comparable(w)) continue;
     for (const auto& b : baseline->worlds) {
-      if (b.world != w.world || b.count == 0) continue;
-      // Tiny absolute epsilon so pct=0 tolerates formatting round-trips.
-      const double limit = b.max * (1.0 + pct / 100.0) + 1e-12;
-      if (w.max > limit) {
-        failures.push_back(std::string(to_string(w.world)) +
-                           ": max skew_ratio " + fmt(w.max) + " regressed > " +
-                           fmt(pct) + "% over baseline " + fmt(b.max));
-      }
-      // Gradient trend, gated only when both runs measured dynamic cells
-      // (a baseline without churn axes says nothing about local skew).
-      if (w.lcount > 0 && b.lcount > 0) {
-        const double llimit = b.lmax * (1.0 + pct / 100.0) + 1e-12;
-        if (w.lmax > llimit) {
-          failures.push_back(std::string(to_string(w.world)) +
-                             ": max local_skew_ratio " + fmt(w.lmax) +
-                             " regressed > " + fmt(pct) + "% over baseline " +
-                             fmt(b.lmax));
-        }
-      }
-      // KLLO envelope trend, same both-sides gating.
-      if (w.kcount > 0 && b.kcount > 0) {
-        const double klimit = b.kmax * (1.0 + pct / 100.0) + 1e-12;
-        if (w.kmax > klimit) {
-          failures.push_back(std::string(to_string(w.world)) +
-                             ": max kllo_ratio " + fmt(w.kmax) +
-                             " regressed > " + fmt(pct) + "% over baseline " +
-                             fmt(b.kmax));
-        }
-      }
-      // Adaptive-adversary trend, same both-sides gating. Note the sign: a
-      // HIGHER adaptive ratio is a stronger empirical worst case, but as a
-      // conformance trend the gate still reads growth past the baseline as
-      // a regression of the protocol's margin.
-      if (w.acount > 0 && b.acount > 0) {
-        const double alimit = b.amax * (1.0 + pct / 100.0) + 1e-12;
-        if (w.amax > alimit) {
-          failures.push_back(std::string(to_string(w.world)) +
-                             ": max adaptive skew_ratio " + fmt(w.amax) +
-                             " regressed > " + fmt(pct) + "% over baseline " +
-                             fmt(b.amax));
-        }
+      if (b.world != w.world || !comparable(b)) continue;
+      // A series either run did not count says nothing about its trend (a
+      // baseline without churn axes says nothing about local skew). Note
+      // the adaptive series' sign: a HIGHER ratio is a stronger empirical
+      // worst case, but as a conformance trend the gate still reads growth
+      // past the baseline as a regression of the protocol's margin.
+      for (std::size_t s = 0; s < std::size(kTrendSeries); ++s) {
+        const auto& cur = w.series[s];
+        const auto& base = b.series[s];
+        if (cur.count == 0 || base.count == 0) continue;
+        // Tiny absolute epsilon so pct=0 tolerates formatting round-trips.
+        const double limit = base.max * (1.0 + pct / 100.0) + 1e-12;
+        if (cur.max > limit)
+          failures.push_back(std::string(to_string(w.world)) + ": max " +
+                             std::string(kTrendSeries[s].name) + " " +
+                             fmt(cur.max) + " regressed > " + fmt(pct) +
+                             "% over baseline " + fmt(base.max));
       }
       break;
     }

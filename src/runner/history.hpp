@@ -11,9 +11,15 @@
 //   seed=1 grid=123456789 cells=36 errors=0 timed_out=0
 //       complete:max=0.81,mean=0.42,count=30     (one line in the file)
 //
+// Each world token carries one max/mean/count triple per trend series
+// (kTrendSeries in runner.hpp), its keys prefixed by the series' prefix:
+// `relay:max=..,mean=..,count=..,lmax=..,lmean=..,lcount=..`. Optional series
+// appear only when they counted a row.
+//
 // — greppable, diffable, append-only, and free of timestamps so identical
 // sweeps write identical lines.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -37,32 +43,15 @@ struct HistoryEntry {
   std::size_t cells = 0;
   std::size_t errors = 0;
   std::size_t timed_out = 0;
-  struct WorldRatio {
-    WorldKind world = WorldKind::kComplete;
+  struct SeriesRatio {
     double max = 0.0;
     double mean = 0.0;
     std::size_t count = 0;  ///< rows with a finite ratio
-    /// local_skew_ratio stats over the world's *dynamic* cells. lcount == 0
-    /// (no dynamic cells in the grid) omits the lmax/lmean/lcount tokens
-    /// from the formatted line, so pre-dynamic history files and grids
-    /// without churn axes keep their exact bytes.
-    double lmax = 0.0;
-    double lmean = 0.0;
-    std::size_t lcount = 0;
-    /// kllo_ratio stats over the world's dynamic cells — same optional-token
-    /// treatment as the l* triple (kcount == 0 omits kmax/kmean/kcount), so
-    /// pre-KLLO history files keep their exact bytes.
-    double kmax = 0.0;
-    double kmean = 0.0;
-    std::size_t kcount = 0;
-    /// skew_ratio stats over the world's adaptive-adversary cells
-    /// (greedy-skew/search with instantiated faults) — the empirical
-    /// worst-case trend signal. Same optional-token treatment (acount == 0
-    /// omits amax/amean/acount), so pre-adaptive history files keep their
-    /// exact bytes.
-    double amax = 0.0;
-    double amean = 0.0;
-    std::size_t acount = 0;
+  };
+  struct WorldRatio {
+    WorldKind world = WorldKind::kComplete;
+    /// One summary per kTrendSeries row.
+    std::array<SeriesRatio, std::size(kTrendSeries)> series{};
   };
   std::vector<WorldRatio> worlds;
 };
@@ -105,10 +94,11 @@ void append_history(const std::string& path, const HistoryEntry& entry);
 
 /// Trend gate: one human-readable failure string per regression, empty =
 /// pass. Fails when (a) the current run has errors or timed-out cells — a
-/// run that did not fully execute cannot attest a trend — or (b) any world's
-/// current max ratio exceeds the baseline's by more than `pct` percent.
-/// Worlds absent from the baseline pass (no history to regress against);
-/// `baseline` == nullopt passes unless (a) applies.
+/// run that did not fully execute cannot attest a trend — or (b) any trend
+/// series' current max ratio in a world exceeds the baseline's by more than
+/// `pct` percent. Worlds absent from the baseline pass (no history to regress
+/// against), as do series either side did not count; `baseline` == nullopt
+/// passes unless (a) applies.
 [[nodiscard]] std::vector<std::string> check_trend(
     const std::optional<HistoryEntry>& baseline, const HistoryEntry& current,
     double pct);

@@ -28,8 +28,6 @@ namespace crusader::runner {
 
 namespace {
 
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
 /// Steady-state skew statistics shared by the complete and relay paths.
 void fill_skew_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
                        ScenarioResult& result) {
@@ -398,20 +396,6 @@ ScenarioResult run_scenario_cached(const ScenarioSpec& spec,
   ScenarioResult result;
   result.spec = spec;
   result.seed = scenario_seed(spec, options.base_seed);
-  result.max_skew = kNan;
-  result.steady_skew = kNan;
-  result.skew_p50 = kNan;
-  result.skew_p99 = kNan;
-  result.min_period = kNan;
-  result.max_period = kNan;
-  result.predicted_skew = kNan;
-  result.skew_ratio = kNan;
-  result.local_skew = kNan;
-  result.local_skew_ratio = kNan;
-  result.d_eff = kNan;
-  result.u_eff = kNan;
-  result.kllo_ratio = kNan;
-  result.edge_age_min = kNan;
 
   try {
     // A targeted custom delay aimed past the cluster would silently
@@ -460,6 +444,20 @@ ScenarioResult run_scenario_cached(const ScenarioSpec& spec,
     result.error = "unknown exception";
   }
   return result;
+}
+
+/// Whether a feasible, error-free, in-budget row feeds a trend series.
+bool admits(TrendSeries::Rows rows, const ScenarioSpec& spec) {
+  switch (rows) {
+    case TrendSeries::Rows::kAll:
+      return true;
+    case TrendSeries::Rows::kDynamic:
+      return spec.dynamic();
+    case TrendSeries::Rows::kAdaptive:
+      return spec.world == WorldKind::kRelay && spec.f_actual > 0 &&
+             relay::adaptive(spec.relay_fault);
+  }
+  return false;
 }
 
 }  // namespace
@@ -647,20 +645,11 @@ void SweepSummary::add(const ScenarioResult& result) {
     worlds.back().world = result.spec.world;
     return worlds.back();
   }();
-  if (std::isfinite(result.skew_ratio)) world.ratio.add(result.skew_ratio);
-  // Dynamic rows only: folding static cells' local ratio in would append
-  // new tokens to every existing history line (see WorldStats::local).
-  if (result.spec.dynamic() && std::isfinite(result.local_skew_ratio))
-    world.local.add(result.local_skew_ratio);
-  if (result.spec.dynamic() && std::isfinite(result.kllo_ratio))
-    world.kllo.add(result.kllo_ratio);
-  // Adaptive-adversary rows only: the empirical worst-case trend signal.
-  // Grids without adaptive cells feed nothing, keeping history lines
-  // byte-identical (see HistoryEntry's optional a* tokens).
-  if (result.spec.world == WorldKind::kRelay && result.spec.f_actual > 0 &&
-      relay::adaptive(result.spec.relay_fault) &&
-      std::isfinite(result.skew_ratio))
-    world.adaptive.add(result.skew_ratio);
+  for (std::size_t s = 0; s < std::size(kTrendSeries); ++s) {
+    const double value = result.*kTrendSeries[s].value;
+    if (admits(kTrendSeries[s].rows, result.spec) && std::isfinite(value))
+      world.series[s].add(value);
+  }
   if (result.rounds_completed > 0 && !result.within_bound)
     ++world.bound_misses;
 }

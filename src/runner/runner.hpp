@@ -5,11 +5,14 @@
 // Rng::fork keyed by the spec digest, and results land in spec order — so a
 // sweep's CSV is byte-identical whether it ran on 1 thread or N.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/scenario.hpp"
@@ -54,50 +57,52 @@ struct RunnerOptions {
 /// Everything measured for one scenario. Doubles are NaN when the scenario
 /// was infeasible, errored, or produced no complete rounds.
 struct ScenarioResult {
+  static constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
   ScenarioSpec spec;
   std::uint64_t seed = 0;  ///< derived world seed (recorded for replay)
   bool feasible = false;
   bool live = false;  ///< every honest node completed `rounds` pulses
   std::size_t rounds_completed = 0;
-  double max_skew = 0.0;     ///< over all complete rounds
-  double steady_skew = 0.0;  ///< over rounds >= warmup
-  double skew_p50 = 0.0;
-  double skew_p99 = 0.0;
-  double min_period = 0.0;
-  double max_period = 0.0;
+  double max_skew = kNan;     ///< over all complete rounds
+  double steady_skew = kNan;  ///< over rounds >= warmup
+  double skew_p50 = kNan;
+  double skew_p99 = kNan;
+  double min_period = kNan;
+  double max_period = kNan;
   /// The world's applicable theoretical bound: the protocol's skew upper
   /// bound (S, S_lw, or d-scale) for kComplete, the same bound computed from
   /// the effective (d_eff, u_eff) for kRelay, and the 2ũ/3 skew LOWER bound
   /// for kTheorem5.
-  double predicted_skew = 0.0;
+  double predicted_skew = kNan;
   /// max_skew / predicted_skew. For upper-bound worlds ≤ 1 means conformant;
   /// for kTheorem5 ≥ 1 means the construction realized the bound.
-  double skew_ratio = 0.0;
+  double skew_ratio = kNan;
   /// Gradient (KLLO-style) metric: max over rounds of the round's worst
   /// |p_i − p_j| over *currently live* edges of that round's graph. For
   /// kComplete/kTheorem5 every pair is an edge, so it equals max_skew; for
   /// kRelay it is at most max_skew and the correctness lens for dynamic
   /// cells, where the global bound's premises lapse mid-churn.
-  double local_skew = 0.0;
+  double local_skew = kNan;
   /// local_skew / predicted_skew (same denominator as skew_ratio).
-  double local_skew_ratio = 0.0;
+  double local_skew_ratio = kNan;
   /// KLLO per-edge-age envelope conformance (runner/kllo.hpp), kRelay only
   /// (NaN elsewhere): the worst, over complete rounds and live measured
   /// edges, of |p_v − p_w| divided by the envelope at that edge's current
   /// age. ≤ 1 means every edge sat inside the envelope — including fresh
   /// edges graded against the wide settling allowance — which is the
   /// transient-vs-violation distinction a flat local ratio cannot make.
-  double kllo_ratio = 0.0;
+  double kllo_ratio = kNan;
   /// Round-edge pairs whose envelope ratio exceeded 1 (kRelay, else 0).
   std::size_t kllo_violations = 0;
   /// Minimum age (rounds since appearance) over the live measured edges of
   /// the last complete round — the youngest edge the verdict rests on. For a
   /// static relay cell this is simply rounds − 1; NaN outside kRelay.
-  double edge_age_min = 0.0;
+  double edge_age_min = kNan;
   /// Effective complete-graph model the relay overlay presented to the
   /// protocol (NaN for other worlds).
-  double d_eff = 0.0;
-  double u_eff = 0.0;
+  double d_eff = kNan;
+  double u_eff = kNan;
   std::uint32_t worst_hops = 0;  ///< relay D_f (0 elsewhere)
   /// Relay only: whether worst_hops came from the exhaustive walk (true) or
   /// the budget-bounded sample (false) — the CSV column history analytics
@@ -201,8 +206,47 @@ void run_sweep_streamed(const std::vector<ScenarioSpec>& specs,
 [[nodiscard]] std::size_t count_gate_violations(const SweepReport& report,
                                                 double max_ratio);
 
+/// One per-world trend series: a ratio summarized as (max, mean, count) over
+/// the rows a filter admits. SweepSummary accumulates every series, each
+/// history line carries each one as a `<prefix>max=..,<prefix>mean=..,
+/// <prefix>count=..` triple, and the trend gate compares each one's max.
+struct TrendSeries {
+  /// Which feasible, error-free, in-budget rows feed the series.
+  enum class Rows {
+    kAll,
+    /// Churned cells only: static cells would append the series' tokens to
+    /// every existing history line.
+    kDynamic,
+    /// Relay cells with faults under an adaptive (greedy-skew or search)
+    /// relay-fault kind — the empirical worst-case trend signal.
+    kAdaptive,
+  };
+  std::string_view prefix;  ///< history token prefix
+  std::string_view name;    ///< metric name in trend-gate messages
+  Rows rows;
+  double ScenarioResult::*value;
+  /// The triple is always written and required on parse, and the trend gate
+  /// skips a world whose count is 0 on either side. Optional series are
+  /// written only when their count is above 0, so history lines of grids
+  /// that never feed them keep their bytes.
+  bool required;
+};
+
+/// Every trend series, in history-token and trend-message order. Adding a
+/// series is one new row.
+inline constexpr TrendSeries kTrendSeries[] = {
+    {"", "skew_ratio", TrendSeries::Rows::kAll, &ScenarioResult::skew_ratio,
+     true},
+    {"l", "local_skew_ratio", TrendSeries::Rows::kDynamic,
+     &ScenarioResult::local_skew_ratio, false},
+    {"k", "kllo_ratio", TrendSeries::Rows::kDynamic,
+     &ScenarioResult::kllo_ratio, false},
+    {"a", "adaptive skew_ratio", TrendSeries::Rows::kAdaptive,
+     &ScenarioResult::skew_ratio, false},
+};
+
 /// Streaming cross-scenario aggregate for the gate, the history file, and
-/// the trend check: per-world skew_ratio stats plus failure counters,
+/// the trend check: per-world trend-series stats plus failure counters,
 /// accumulable one result at a time so large campaigns never retain rows.
 struct SweepSummary {
   /// When set, add() also counts violates_gate(result, *gate_ratio).
@@ -229,20 +273,9 @@ struct SweepSummary {
 
   struct WorldStats {
     WorldKind world = WorldKind::kComplete;
-    /// Over rows with a finite skew_ratio (completed, bound defined).
-    util::OnlineStats ratio;
-    /// Over *dynamic* rows with a finite local_skew_ratio. Static cells are
-    /// deliberately excluded: their local metric would append new tokens to
-    /// every existing history line, breaking byte-compatibility.
-    util::OnlineStats local;
-    /// Over dynamic rows with a finite kllo_ratio — same static-row
-    /// exclusion (and the same optional-token history treatment) as `local`.
-    util::OnlineStats kllo;
-    /// Over adaptive-adversary rows (relay, f_actual > 0, greedy-skew or
-    /// search) with a finite skew_ratio — the trend signal for the empirical
-    /// worst-case search. Same optional-token history treatment: grids
-    /// without adaptive cells keep their historical bytes.
-    util::OnlineStats adaptive;
+    /// One accumulator per kTrendSeries row, over the rows it admits that
+    /// carry a finite value.
+    std::array<util::OnlineStats, std::size(kTrendSeries)> series;
     /// Completed rows whose within_bound check failed.
     std::size_t bound_misses = 0;
   };

@@ -40,8 +40,9 @@ enum class WorldKind { kComplete, kRelay, kTheorem5 };
 ///    4-connected for n ≥ 6 so it survives up to 3 faults while staying
 ///    degree-4 sparse.
 ///  * kRingOfCliques — n/4 cliques of size 4 joined by 2 disjoint bridges
-///    per junction ("balanced paths", EXPERIMENTS E11); requires n ≡ 0
-///    (mod 4), n ≥ 8, and survives up to 2·bridges − 1 = 3 faults.
+///    per junction (the "balanced paths" topology of E11 in
+///    bench/bench_sparse_network.cpp); requires n ≡ 0 (mod 4), n ≥ 8, and
+///    survives up to 2·bridges − 1 = 3 faults.
 enum class TopologyKind {
   kComplete,
   kRing,

@@ -6,7 +6,7 @@
 // for arithmetic convenience but name parameters `t`/`real` vs `h`/`local`
 // consistently. All protocol-level boundary comparisons use `kTimeEps`
 // tolerance so that no guarantee hinges on exact floating-point equality
-// (see DESIGN.md §3.2).
+// (kBoundarySlack below bounds what that tolerance costs).
 
 namespace crusader::sim {
 
@@ -21,7 +21,7 @@ inline constexpr double kTimeEps = 1e-9;
 /// equality). In continuous mathematics this is a measure-zero event; in a
 /// simulator it happens exactly. Widening acceptance by this slack is
 /// equivalent to running with W' = W + 1e-6, which perturbs the δ bound by
-/// (ϑ−1)·1e-6 — far below every margin we assert. See DESIGN.md §3.2.
+/// (ϑ−1)·1e-6 — far below every margin we assert.
 inline constexpr double kBoundarySlack = 1e-6;
 
 /// a < b with tolerance (strictly-less by more than eps).

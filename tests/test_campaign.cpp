@@ -494,8 +494,8 @@ TEST(History, LineFormatRoundTrips) {
   entry.cells = 36;
   entry.errors = 1;
   entry.timed_out = 2;
-  entry.worlds.push_back({WorldKind::kComplete, 0.8125, 0.5, 30});
-  entry.worlds.push_back({WorldKind::kTheorem5, 1.0625, 1.03125, 3});
+  entry.worlds.push_back({WorldKind::kComplete, {{{0.8125, 0.5, 30}}}});
+  entry.worlds.push_back({WorldKind::kTheorem5, {{{1.0625, 1.03125, 3}}}});
 
   const auto line = format_history_line(entry);
   const auto parsed = parse_history_line(line);
@@ -507,11 +507,11 @@ TEST(History, LineFormatRoundTrips) {
   EXPECT_EQ(parsed->timed_out, 2u);
   ASSERT_EQ(parsed->worlds.size(), 2u);
   EXPECT_EQ(parsed->worlds[0].world, WorldKind::kComplete);
-  EXPECT_EQ(parsed->worlds[0].max, 0.8125);
-  EXPECT_EQ(parsed->worlds[0].mean, 0.5);
-  EXPECT_EQ(parsed->worlds[0].count, 30u);
+  EXPECT_EQ(parsed->worlds[0].series[0].max, 0.8125);
+  EXPECT_EQ(parsed->worlds[0].series[0].mean, 0.5);
+  EXPECT_EQ(parsed->worlds[0].series[0].count, 30u);
   EXPECT_EQ(parsed->worlds[1].world, WorldKind::kTheorem5);
-  EXPECT_EQ(parsed->worlds[1].max, 1.0625);
+  EXPECT_EQ(parsed->worlds[1].series[0].max, 1.0625);
 
   EXPECT_FALSE(parse_history_line("").has_value());
   EXPECT_FALSE(parse_history_line("# comment").has_value());
@@ -524,6 +524,62 @@ TEST(History, LineFormatRoundTrips) {
       parse_history_line("seed=1 cells=3 complete:max=1,mean=1").has_value());
 }
 
+// History lines as sweep_cli wrote them in each era of the format, two
+// worlds each: the global triple only, then with the gradient l* triple,
+// with l* and the KLLO k* triple, with the adaptive a* triple, and all four.
+// Files recorded in any era must keep parsing to the same bytes.
+constexpr const char* kEraLines[] = {
+    "seed=1 grid=14596161924237567885 cells=3 errors=0 timed_out=0 "
+    "complete:max=1,mean=1,count=2 "
+    "theorem5:max=0.9999999999999964,mean=0.9999999999999964,count=1",
+    "seed=1 grid=10292039787394580311 cells=6 errors=0 timed_out=0 "
+    "complete:max=1.0000000000000142,mean=0.9620240908973354,count=2 "
+    "relay:max=0.8333333333333647,mean=0.7119076320726612,count=4,"
+    "lmax=0.6683168316831947,lmean=0.5320204914868397,lcount=2",
+    "seed=1 grid=10292039787394580311 cells=6 errors=0 timed_out=0 "
+    "complete:max=1.0000000000000142,mean=0.9620240908973354,count=2 "
+    "relay:max=0.8333333333333647,mean=0.7119076320726612,count=4,"
+    "lmax=0.6683168316831947,lmean=0.5320204914868397,lcount=2,"
+    "kmax=0.12530940594059156,kmean=0.09975384215377872,kcount=2",
+    "seed=1 grid=4530513747570822969 cells=6 errors=0 timed_out=0 "
+    "complete:max=1,mean=0.9776922191311752,count=2 "
+    "relay:max=0.034966996699669295,mean=0.02500329803022927,count=4,"
+    "amax=0.034966996699669295,amean=0.02500329803022927,acount=4",
+    "seed=1 grid=17227247125159295871 cells=24 errors=0 timed_out=0 "
+    "complete:max=1.0000000000000142,mean=0.5112392397134882,count=8 "
+    "relay:max=5.5555555555555545,mean=0.674599718629748,count=16,"
+    "lmax=5.5555555555555545,lmean=0.9463960264923794,lcount=8,"
+    "kmax=1.0416666666666663,kmean=0.2555292293834627,kcount=8,"
+    "amax=5.5555555555555545,amean=0.9587119885196487,acount=8",
+};
+
+TEST(History, EveryEraLineFormatsByteIdentically) {
+  for (const std::string line : kEraLines) {
+    const auto parsed = parse_history_line(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    ASSERT_EQ(parsed->worlds.size(), 2u) << line;
+    EXPECT_EQ(format_history_line(*parsed), line);
+  }
+}
+
+TEST(History, AdaptiveRegressionTripsTrendGateByName) {
+  const auto baseline = parse_history_line(kEraLines[3]);
+  ASSERT_TRUE(baseline.has_value());
+  // The same line with amax doubled (global max and mean untouched).
+  std::string doubled = kEraLines[3];
+  const std::string amax = "amax=0.034966996699669295";
+  doubled.replace(doubled.find(amax), amax.size(), "amax=0.06993399339933859");
+  const auto regressed = parse_history_line(doubled);
+  ASSERT_TRUE(regressed.has_value());
+
+  const auto failures = check_trend(baseline, *regressed, 5.0);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0],
+            "relay: max adaptive skew_ratio 0.06993399339933859 regressed > "
+            "5% over baseline 0.034966996699669295");
+  EXPECT_TRUE(check_trend(baseline, *baseline, 0.0).empty());
+}
+
 TEST(History, LoadLastEntrySkipsHeaderAndGarbage) {
   std::istringstream is(
       "# crusader skew_ratio history v1\n"
@@ -533,7 +589,7 @@ TEST(History, LoadLastEntrySkipsHeaderAndGarbage) {
   const auto last = load_last_entry(is);
   ASSERT_TRUE(last.has_value());
   ASSERT_EQ(last->worlds.size(), 1u);
-  EXPECT_EQ(last->worlds[0].max, 0.7);
+  EXPECT_EQ(last->worlds[0].series[0].max, 0.7);
 }
 
 TEST(History, BaselineSelectionSkipsOtherGridsAndIncompleteRuns) {
@@ -550,7 +606,7 @@ TEST(History, BaselineSelectionSkipsOtherGridsAndIncompleteRuns) {
   const auto baseline = load_baseline(is, 111);
   ASSERT_TRUE(baseline.has_value());
   // Not the other grid's 0.2, not the errored run's 0.1.
-  EXPECT_EQ(baseline->worlds[0].max, 0.5);
+  EXPECT_EQ(baseline->worlds[0].series[0].max, 0.5);
 
   std::istringstream none(
       "seed=1 grid=222 cells=8 errors=0 timed_out=0 "
@@ -589,17 +645,17 @@ TEST(History, TrendGateFailsOnRegressionAndIncompleteRuns) {
   HistoryEntry baseline;
   baseline.seed = 1;
   baseline.cells = 10;
-  baseline.worlds.push_back({WorldKind::kComplete, 0.8, 0.5, 10});
+  baseline.worlds.push_back({WorldKind::kComplete, {{{0.8, 0.5, 10}}}});
 
   HistoryEntry same = baseline;
   EXPECT_TRUE(check_trend(baseline, same, 0.0).empty());
 
   HistoryEntry within = baseline;
-  within.worlds[0].max = 0.82;  // +2.5% under a 5% gate
+  within.worlds[0].series[0].max = 0.82;  // +2.5% under a 5% gate
   EXPECT_TRUE(check_trend(baseline, within, 5.0).empty());
 
   HistoryEntry regressed = baseline;
-  regressed.worlds[0].max = 0.9;  // +12.5%
+  regressed.worlds[0].series[0].max = 0.9;  // +12.5%
   EXPECT_FALSE(check_trend(baseline, regressed, 5.0).empty());
   EXPECT_TRUE(check_trend(baseline, regressed, 20.0).empty());
 
@@ -643,7 +699,7 @@ TEST(History, SummaryFeedsEntryAndAppendLoadsBack) {
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->cells, entry.cells);
   ASSERT_EQ(last->worlds.size(), entry.worlds.size());
-  EXPECT_EQ(last->worlds[0].max, entry.worlds[0].max);
+  EXPECT_EQ(last->worlds[0].series[0].max, entry.worlds[0].series[0].max);
   std::filesystem::remove(path);
 }
 

@@ -825,12 +825,12 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
   const auto parsed = parse_history_line(line);
   ASSERT_TRUE(parsed.has_value()) << line;
   ASSERT_EQ(parsed->worlds.size(), 1u);
-  EXPECT_EQ(parsed->worlds[0].kcount, 2u);
-  EXPECT_GT(parsed->worlds[0].kmax, 1.0);  // the jump-max cell
+  EXPECT_EQ(parsed->worlds[0].series[2].count, 2u);
+  EXPECT_GT(parsed->worlds[0].series[2].max, 1.0);  // the jump-max cell
 
   // Trend gating: a kllo regression over this baseline fails by name.
   auto regressed = *parsed;
-  regressed.worlds[0].kmax *= 2.0;
+  regressed.worlds[0].series[2].max *= 2.0;
   const auto failures = check_trend(*parsed, regressed, 5.0);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("kllo_ratio"), std::string::npos) << failures[0];
@@ -846,9 +846,7 @@ TEST(History, GradientTokensAreOptionalAndRoundTrip) {
   entry.cells = 12;
   HistoryEntry::WorldRatio relay_ratio;
   relay_ratio.world = WorldKind::kRelay;
-  relay_ratio.max = 0.75;
-  relay_ratio.mean = 0.5;
-  relay_ratio.count = 12;
+  relay_ratio.series[0] = {0.75, 0.5, 12};
   entry.worlds.push_back(relay_ratio);
 
   // Without dynamic cells the line is byte-compatible with the pre-dynamic
@@ -858,29 +856,29 @@ TEST(History, GradientTokensAreOptionalAndRoundTrip) {
   EXPECT_EQ(static_line.find("kmax"), std::string::npos) << static_line;
   const auto static_parsed = parse_history_line(static_line);
   ASSERT_TRUE(static_parsed.has_value());
-  EXPECT_EQ(static_parsed->worlds[0].lcount, 0u);
-  EXPECT_EQ(static_parsed->worlds[0].kcount, 0u);
+  EXPECT_EQ(static_parsed->worlds[0].series[1].count, 0u);
+  EXPECT_EQ(static_parsed->worlds[0].series[2].count, 0u);
 
-  entry.worlds[0].lmax = 0.9;
-  entry.worlds[0].lmean = 0.6;
-  entry.worlds[0].lcount = 4;
+  entry.worlds[0].series[1].max = 0.9;
+  entry.worlds[0].series[1].mean = 0.6;
+  entry.worlds[0].series[1].count = 4;
   const auto line = format_history_line(entry);
   const auto parsed = parse_history_line(line);
   ASSERT_TRUE(parsed.has_value()) << line;
-  EXPECT_EQ(parsed->worlds[0].lmax, 0.9);
-  EXPECT_EQ(parsed->worlds[0].lmean, 0.6);
-  EXPECT_EQ(parsed->worlds[0].lcount, 4u);
+  EXPECT_EQ(parsed->worlds[0].series[1].max, 0.9);
+  EXPECT_EQ(parsed->worlds[0].series[1].mean, 0.6);
+  EXPECT_EQ(parsed->worlds[0].series[1].count, 4u);
 
   // Trend gate: a local-skew regression fails even when the global max held.
   HistoryEntry regressed = entry;
-  regressed.worlds[0].lmax = 1.2;
+  regressed.worlds[0].series[1].max = 1.2;
   const auto failures = check_trend(entry, regressed, 5.0);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("local_skew_ratio"), std::string::npos)
       << failures[0];
   // A baseline without dynamic cells says nothing about local skew.
   HistoryEntry no_local_baseline = entry;
-  no_local_baseline.worlds[0].lcount = 0;
+  no_local_baseline.worlds[0].series[1].count = 0;
   EXPECT_TRUE(check_trend(no_local_baseline, regressed, 5.0).empty());
 }
 
