@@ -2,7 +2,7 @@
 //
 //   crusader_cli [--protocol cps|lw|st] [--n N] [--faulty F] [--u U] [--d D]
 //                [--theta T] [--strategy crash|echo-rush|split|pull-early|
-//                 pull-late|replay|random] [--rounds R] [--seed S]
+//                 pull-late|replay|random|greedy-skew] [--rounds R] [--seed S]
 //                [--clocks nominal|spread|walk] [--delays max|min|random|split]
 //                [--topology complete|ring|chordal|cliques]
 //                [--lower-bound] [--u-tilde U] [--csv]
@@ -17,12 +17,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "baselines/factories.hpp"
 #include "sim/trace_io.hpp"
@@ -31,6 +31,7 @@
 #include "lowerbound/theorem5.hpp"
 #include "relay/flood_world.hpp"
 #include "relay/topology.hpp"
+#include "runner/scenario.hpp"
 #include "util/table.hpp"
 
 using namespace crusader;
@@ -40,7 +41,7 @@ namespace {
 struct Options {
   baselines::ProtocolKind protocol = baselines::ProtocolKind::kCps;
   std::uint32_t n = 7;
-  std::uint32_t faulty = 0xffffffffu;  // default: max for the protocol
+  std::optional<std::uint32_t> faulty;  // default: max for the protocol
   double u = 0.05;
   double d = 1.0;
   double theta = 1.01;
@@ -70,86 +71,89 @@ void export_traces(const Options& opt, const sim::PulseTrace& trace) {
   }
 }
 
-[[noreturn]] void usage(const char* error) {
-  if (error != nullptr) std::cerr << "error: " << error << "\n";
+[[noreturn]] void usage(const std::string& error) {
+  if (!error.empty()) std::cerr << "error: " << error << "\n";
   std::cerr <<
       "usage: crusader_cli [--protocol cps|lw|st] [--n N] [--faulty F]\n"
       "  [--u U] [--d D] [--theta T] [--u-tilde U] [--rounds R] [--seed S]\n"
-      "  [--strategy crash|echo-rush|split|pull-early|pull-late|replay|random]\n"
-      "  [--clocks nominal|spread|walk] [--delays max|min|random|split]\n"
+      "  [--strategy crash|echo-rush|split|pull-early|pull-late|replay|random|\n"
+      "   greedy-skew] [--clocks nominal|spread|walk]\n"
+      "  [--delays max|min|random|split]\n"
       "  [--topology complete|ring|chordal|cliques] [--lower-bound] [--csv]\n";
   std::exit(2);
 }
 
+/// runner::parse_protocol narrowed to the pulse protocols this driver wires.
+std::optional<baselines::ProtocolKind> parse_pulse_protocol(
+    std::string_view s) {
+  const auto protocol = runner::parse_protocol(s);
+  if (protocol == baselines::ProtocolKind::kCps ||
+      protocol == baselines::ProtocolKind::kLynchWelch ||
+      protocol == baselines::ProtocolKind::kSrikanthToueg)
+    return protocol;
+  return std::nullopt;
+}
+
+std::optional<std::uint32_t> parse_u32(std::string_view s) {
+  const auto value = runner::parse_u64_strict(s);
+  if (!value || *value > UINT32_MAX) return std::nullopt;
+  return static_cast<std::uint32_t>(*value);
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing argument value");
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // This flag's value, read by `parse` in need(); a missing or malformed
+    // value exits 2 naming the flag.
+    const auto text = [&]() -> std::string {
+      if (i + 1 >= argc) usage("missing value for " + arg);
+      return argv[++i];
+    };
+    const auto need = [&](auto parse) {
+      const std::string value = text();
+      const auto parsed = parse(value);
+      if (!parsed) usage("bad value for " + arg + ": '" + value + "'");
+      return *parsed;
+    };
     if (arg == "--protocol") {
-      const std::string v = need(i);
-      if (v == "cps") opt.protocol = baselines::ProtocolKind::kCps;
-      else if (v == "lw") opt.protocol = baselines::ProtocolKind::kLynchWelch;
-      else if (v == "st") opt.protocol = baselines::ProtocolKind::kSrikanthToueg;
-      else usage("unknown protocol");
+      opt.protocol = need(parse_pulse_protocol);
     } else if (arg == "--n") {
-      opt.n = static_cast<std::uint32_t>(std::stoul(need(i)));
+      opt.n = need(parse_u32);
     } else if (arg == "--faulty") {
-      opt.faulty = static_cast<std::uint32_t>(std::stoul(need(i)));
+      opt.faulty = need(parse_u32);
     } else if (arg == "--u") {
-      opt.u = std::stod(need(i));
+      opt.u = need(runner::parse_double_strict);
     } else if (arg == "--d") {
-      opt.d = std::stod(need(i));
+      opt.d = need(runner::parse_double_strict);
     } else if (arg == "--theta") {
-      opt.theta = std::stod(need(i));
+      opt.theta = need(runner::parse_double_strict);
     } else if (arg == "--u-tilde") {
-      opt.u_tilde = std::stod(need(i));
+      opt.u_tilde = need(runner::parse_double_strict);
     } else if (arg == "--rounds") {
-      opt.rounds = std::stoul(need(i));
+      opt.rounds = need(runner::parse_u64_strict);
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(need(i));
+      opt.seed = need(runner::parse_u64_strict);
     } else if (arg == "--strategy") {
-      const std::map<std::string, core::ByzStrategy> names = {
-          {"crash", core::ByzStrategy::kCrash},
-          {"echo-rush", core::ByzStrategy::kEchoRush},
-          {"split", core::ByzStrategy::kSplit},
-          {"pull-early", core::ByzStrategy::kPullEarly},
-          {"pull-late", core::ByzStrategy::kPullLate},
-          {"replay", core::ByzStrategy::kReplay},
-          {"random", core::ByzStrategy::kRandom}};
-      const auto it = names.find(need(i));
-      if (it == names.end()) usage("unknown strategy");
-      opt.strategy = it->second;
+      opt.strategy = need(runner::parse_byz_strategy);
     } else if (arg == "--clocks") {
-      const std::string v = need(i);
-      if (v == "nominal") opt.clocks = sim::ClockKind::kNominal;
-      else if (v == "spread") opt.clocks = sim::ClockKind::kSpread;
-      else if (v == "walk") opt.clocks = sim::ClockKind::kRandomWalk;
-      else usage("unknown clock kind");
+      opt.clocks = need(runner::parse_clock_kind);
     } else if (arg == "--delays") {
-      const std::string v = need(i);
-      if (v == "max") opt.delays = sim::DelayKind::kMax;
-      else if (v == "min") opt.delays = sim::DelayKind::kMin;
-      else if (v == "random") opt.delays = sim::DelayKind::kRandom;
-      else if (v == "split") opt.delays = sim::DelayKind::kSplit;
-      else usage("unknown delay kind");
+      opt.delays = need(runner::parse_delay_kind);
     } else if (arg == "--topology") {
-      opt.topology = need(i);
+      opt.topology = text();
     } else if (arg == "--lower-bound") {
       opt.lower_bound = true;
     } else if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--pulses-csv") {
-      opt.pulses_csv = need(i);
+      opt.pulses_csv = text();
     } else if (arg == "--rounds-csv") {
-      opt.rounds_csv = need(i);
+      opt.rounds_csv = text();
     } else if (arg == "--help" || arg == "-h") {
-      usage(nullptr);
+      usage("");
     } else {
-      usage("unknown flag");
+      usage("unknown flag " + arg);
     }
   }
   return opt;
@@ -260,8 +264,7 @@ int main(int argc, char** argv) {
   model.u = opt.u;
   model.u_tilde = opt.u_tilde > 0 ? opt.u_tilde : opt.u;
   model.vartheta = opt.theta;
-  const std::uint32_t f_actual =
-      opt.faulty == 0xffffffffu ? model.f : opt.faulty;
+  const std::uint32_t f_actual = opt.faulty.value_or(model.f);
   if (f_actual > model.f) usage("--faulty exceeds the protocol's resilience");
 
   if (opt.topology != "complete") return run_sparse(opt, model, f_actual);

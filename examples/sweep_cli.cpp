@@ -111,6 +111,7 @@
 // fault-free CPS scenario exceeded its Theorem-17 skew bound, or the --gate
 // or --gate-trend tripped. Malformed flag values exit 2 naming the flag.
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <fstream>
@@ -119,6 +120,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "runner/campaign.hpp"
@@ -182,6 +184,42 @@ void parse_list(std::vector<T>& axis, const std::string& value,
     if (!parsed) throw FlagError{"unknown " + noun + " '" + s + "'"};
     axis.push_back(*parsed);
   }
+}
+
+/// Replaces a numeric axis with the comma-separated `value`. Each item is
+/// read by the strict `parse` (else "bad numeric value" naming the flag as
+/// typed) and must satisfy `in_range`, when given (else "--<flag> takes
+/// <takes>, got '<item>'", the flag dash-spelled); `required` fails an empty
+/// list instead of leaving the axis empty.
+template <typename T, typename Raw>
+void parse_numbers(std::vector<T>& axis, const std::string& key,
+                   const std::string& value,
+                   std::optional<Raw> (*parse)(std::string_view),
+                   std::type_identity_t<bool (*)(Raw)> in_range = nullptr,
+                   const std::string& takes = "", bool required = false) {
+  std::string flag = key;
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  axis.clear();
+  for (const auto& s : split(value)) {
+    const auto raw = parse(s);
+    if (!raw)
+      throw FlagError{"bad numeric value for --" + key + ": '" + s + "'"};
+    if (in_range && !in_range(*raw))
+      throw FlagError{"--" + flag + " takes " + takes + ", got '" + s + "'"};
+    axis.push_back(static_cast<T>(*raw));
+  }
+  if (required && axis.empty())
+    throw FlagError{"--" + flag + " needs at least one value"};
+}
+
+/// "max" is kMaxResilience; counts past UINT32_MAX saturate just above it
+/// so the range check, not the sign of an int64 cast, rejects them.
+std::optional<std::int64_t> parse_fault_load(std::string_view s) {
+  if (s == "max") return runner::SweepGrid::kMaxResilience;
+  const auto count = runner::parse_u64_strict(s);
+  if (!count) return std::nullopt;
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>(*count, std::uint64_t{UINT32_MAX} + 1));
 }
 
 void print_table(std::ostream& os, const runner::SweepReport& report) {
@@ -270,36 +308,22 @@ int main(int argc, char** argv) {
         parse_list(grid.protocols, value, runner::parse_protocol, "protocol");
       } else if (key == "n") {
         n_given = true;
-        grid.ns.clear();
-        for (const auto& s : split(value)) {
-          const auto n = need_u64(key, s);
-          if (n == 0 || n > UINT32_MAX)
-            return fail("--n takes cluster sizes >= 1, got '" + s + "'");
-          grid.ns.push_back(static_cast<std::uint32_t>(n));
-        }
+        parse_numbers(grid.ns, key, value, runner::parse_u64_strict,
+                      [](std::uint64_t n) { return n >= 1 && n <= UINT32_MAX; },
+                      "cluster sizes >= 1");
       } else if (key == "faults") {
-        grid.fault_loads.clear();
-        for (const auto& s : split(value)) {
-          if (s == "max") {
-            grid.fault_loads.push_back(runner::SweepGrid::kMaxResilience);
-            continue;
-          }
-          const auto count = need_u64(key, s);
-          if (count > UINT32_MAX)
-            return fail("--faults takes counts >= 0 or 'max', got '" + s + "'");
-          grid.fault_loads.push_back(static_cast<std::int64_t>(count));
-        }
+        parse_numbers(grid.fault_loads, key, value, parse_fault_load,
+                      [](std::int64_t f) {
+                        return f == runner::SweepGrid::kMaxResilience ||
+                               (f >= 0 && f <= UINT32_MAX);
+                      },
+                      "counts >= 0 or 'max'");
       } else if (key == "vartheta") {
-        grid.varthetas.clear();
-        for (const auto& s : split(value))
-          grid.varthetas.push_back(need_double(key, s));
+        parse_numbers(grid.varthetas, key, value, runner::parse_double_strict);
       } else if (key == "u") {
-        grid.us.clear();
-        for (const auto& s : split(value)) grid.us.push_back(need_double(key, s));
+        parse_numbers(grid.us, key, value, runner::parse_double_strict);
       } else if (key == "u-tilde" || key == "u_tilde") {
-        grid.u_tildes.clear();
-        for (const auto& s : split(value))
-          grid.u_tildes.push_back(need_double(key, s));
+        parse_numbers(grid.u_tildes, key, value, runner::parse_double_strict);
       } else if (key == "topology") {
         parse_list(grid.topologies, value, runner::parse_topology, "topology");
       } else if (key == "relay-fault" || key == "relay_fault") {
@@ -352,45 +376,21 @@ int main(int argc, char** argv) {
         if (grid.strategies.empty())
           grid.strategies = {core::ByzStrategy::kCrash};
       } else if (key == "churn-rate" || key == "churn_rate") {
-        grid.churn_rates.clear();
-        for (const auto& s : split(value)) {
-          const double rate = need_double(key, s);
-          if (rate < 0.0 || rate > 1.0)
-            return fail("--churn-rate takes rates in [0,1], got '" + s + "'");
-          grid.churn_rates.push_back(rate);
-        }
-        if (grid.churn_rates.empty())
-          return fail("--churn-rate needs at least one value");
+        parse_numbers(grid.churn_rates, key, value, runner::parse_double_strict,
+                      [](double r) { return r >= 0.0 && r <= 1.0; },
+                      "rates in [0,1]", true);
       } else if (key == "join-batch" || key == "join_batch") {
-        grid.join_batches.clear();
-        for (const auto& s : split(value)) {
-          const auto batch = need_u64(key, s);
-          if (batch > UINT32_MAX)
-            return fail("--join-batch takes counts >= 0, got '" + s + "'");
-          grid.join_batches.push_back(static_cast<std::uint32_t>(batch));
-        }
-        if (grid.join_batches.empty())
-          return fail("--join-batch needs at least one value");
+        parse_numbers(grid.join_batches, key, value, runner::parse_u64_strict,
+                      [](std::uint64_t b) { return b <= UINT32_MAX; },
+                      "counts >= 0", true);
       } else if (key == "kllo-stab" || key == "kllo_stab") {
-        grid.kllo_stabs.clear();
-        for (const auto& s : split(value)) {
-          const double stab = need_double(key, s);
-          if (stab <= 0.0)
-            return fail("--kllo-stab takes multipliers > 0, got '" + s + "'");
-          grid.kllo_stabs.push_back(stab);
-        }
-        if (grid.kllo_stabs.empty())
-          return fail("--kllo-stab needs at least one value");
+        parse_numbers(grid.kllo_stabs, key, value, runner::parse_double_strict,
+                      [](double m) { return m > 0.0; }, "multipliers > 0",
+                      true);
       } else if (key == "search-budget" || key == "search_budget") {
-        grid.search_budgets.clear();
-        for (const auto& s : split(value)) {
-          const auto budget = need_u64(key, s);
-          if (budget == 0 || budget > UINT32_MAX)
-            return fail("--search-budget takes counts >= 1, got '" + s + "'");
-          grid.search_budgets.push_back(static_cast<std::uint32_t>(budget));
-        }
-        if (grid.search_budgets.empty())
-          return fail("--search-budget needs at least one value");
+        parse_numbers(grid.search_budgets, key, value, runner::parse_u64_strict,
+                      [](std::uint64_t b) { return b >= 1 && b <= UINT32_MAX; },
+                      "counts >= 1", true);
       } else if (key == "reconnect") {
         parse_list(grid.reconnects, value, runner::parse_reconnect,
                    "reconnect policy");

@@ -43,8 +43,10 @@ expect_reject --reconnect=teleport "sweep_cli: unknown reconnect policy 'telepor
 
 echo "== numeric list flags reject malformed and out-of-range values =="
 expect_reject --n=0 "sweep_cli: --n takes cluster sizes >= 1, got '0'"
+expect_reject --n=4294967296 "sweep_cli: --n takes cluster sizes >= 1, got '4294967296'"
 expect_reject --n=abc "sweep_cli: bad numeric value for --n: 'abc'"
 expect_reject --faults=-1 "sweep_cli: bad numeric value for --faults: '-1'"
+expect_reject --faults=4294967296 "sweep_cli: --faults takes counts >= 0 or 'max', got '4294967296'"
 expect_reject --vartheta=x "sweep_cli: bad numeric value for --vartheta: 'x'"
 expect_reject --u=x "sweep_cli: bad numeric value for --u: 'x'"
 expect_reject --u-tilde=x "sweep_cli: bad numeric value for --u-tilde: 'x'"
@@ -52,12 +54,24 @@ expect_reject --churn-rate=2 "sweep_cli: --churn-rate takes rates in [0,1], got 
 expect_reject --join-batch=-1 "sweep_cli: bad numeric value for --join-batch: '-1'"
 expect_reject --kllo-stab=0 "sweep_cli: --kllo-stab takes multipliers > 0, got '0'"
 expect_reject --search-budget=0 "sweep_cli: --search-budget takes counts >= 1, got '0'"
+expect_reject --join-batch=4294967296 "sweep_cli: --join-batch takes counts >= 0, got '4294967296'"
+
+echo "== underscore aliases: parse errors echo the alias, range errors the dash flag =="
+expect_reject --churn_rate=x "sweep_cli: bad numeric value for --churn_rate: 'x'"
+expect_reject --churn_rate=2 "sweep_cli: --churn-rate takes rates in [0,1], got '2'"
+expect_reject --u_tilde=x "sweep_cli: bad numeric value for --u_tilde: 'x'"
+expect_reject --search_budget= "sweep_cli: --search-budget needs at least one value"
 
 echo "== empty lists fail loudly instead of dropping grid points =="
 expect_reject --relay-fault= "sweep_cli: --relay-fault needs at least one value"
 expect_reject --crypto= "sweep_cli: --crypto needs at least one value"
 expect_reject --reconnect= "sweep_cli: --reconnect needs at least one value"
 expect_reject --delays= "sweep_cli: --delays needs at least one value"
+expect_reject --churn-rate= "sweep_cli: --churn-rate needs at least one value"
+expect_reject --join-batch= "sweep_cli: --join-batch needs at least one value"
+expect_reject --kllo-stab= "sweep_cli: --kllo-stab needs at least one value"
+expect_reject --search-budget= "sweep_cli: --search-budget needs at least one value"
+expect_reject --n= "sweep_cli: empty grid"
 expect_reject --world= "sweep_cli: empty grid"
 expect_reject --protocols= "sweep_cli: empty grid"
 expect_reject --clocks= "sweep_cli: empty grid"

@@ -6,8 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "util/fmt.hpp"
@@ -374,219 +374,202 @@ std::uint32_t max_topology_faults(TopologyKind kind,
   return 0;
 }
 
-std::vector<ScenarioSpec> SweepGrid::expand() const {
-  std::vector<ScenarioSpec> specs;
-  std::set<std::uint64_t> seen;
-  // Collapsed axes (see header) can alias: dedupe by digest so the sweep
-  // never runs — and reports — the same world twice.
-  auto push = [&](const ScenarioSpec& spec) {
+namespace {
+
+/// One expansion in progress. Each row of kAxisRows sets its field on the
+/// partial spec and hands it to the next row; past the last row the spec is
+/// a cell, kept unless a collapsed axis already produced its digest.
+struct Expansion {
+  const SweepGrid& grid;
+  std::vector<ScenarioSpec> specs{};
+  std::unordered_set<std::uint64_t> seen{};  // membership only, not iterated
+  std::size_t row = 0;
+
+  void next(ScenarioSpec& spec);
+};
+
+constexpr ScenarioSpec kDefaults{};
+
+/// Runs the rows below once per value of `values`, stored into `field`.
+template <typename Field, typename Value>
+void fan(Expansion& x, ScenarioSpec& spec, Field& field,
+         const std::vector<Value>& values) {
+  for (const auto& value : values) {
+    field = value;
+    x.next(spec);
+  }
+}
+
+/// Runs the rows below once, with `field` fixed at `value`.
+template <typename Field>
+void pin(Expansion& x, ScenarioSpec& spec, Field& field, const Field& value) {
+  field = value;
+  x.next(spec);
+}
+
+bool always(const ScenarioSpec&) { return true; }
+bool on_relay(const ScenarioSpec& s) { return s.world == WorldKind::kRelay; }
+bool off_theorem5(const ScenarioSpec& s) {
+  return s.world != WorldKind::kTheorem5;
+}
+bool faulty_complete(const ScenarioSpec& s) {
+  return s.world == WorldKind::kComplete && s.f_actual > 0;
+}
+bool faulty_relay(const ScenarioSpec& s) {
+  return s.world == WorldKind::kRelay && s.f_actual > 0;
+}
+/// Churn and Byzantine relays are separate regimes, except for the adaptive
+/// relay faults: an adaptive adversary under churn is exactly the regime the
+/// observation-refresh machinery exists for.
+bool reads_churn(const ScenarioSpec& s) {
+  return s.world == WorldKind::kRelay &&
+         (s.f_actual == 0 || relay::adaptive(s.relay_fault));
+}
+
+/// The common row: fans `spec.*Field` out over `grid.*List` on cells that
+/// read the axis and pins it to the ScenarioSpec default on the rest.
+template <auto List, auto Field, bool (*Reads)(const ScenarioSpec&) = always>
+void axis(Expansion& x, ScenarioSpec& spec) {
+  if (Reads(spec)) return fan(x, spec, spec.*Field, x.grid.*List);
+  pin(x, spec, spec.*Field, kDefaults.*Field);
+}
+
+/// Theorem 5 skips the flood probe (run_theorem5 would report it
+/// infeasible) and the neighbor-scoped gradient/jump-max pair (the
+/// construction has no topology for them to be local on).
+void protocol_row(Expansion& x, ScenarioSpec& spec) {
+  for (const auto protocol : x.grid.protocols) {
+    if (spec.world == WorldKind::kTheorem5 &&
+        (protocol == baselines::ProtocolKind::kFloodProbe ||
+         baselines::neighbor_cast(protocol)))
+      continue;
+    pin(x, spec, spec.protocol, protocol);
+  }
+}
+
+/// Theorem 5 pins its construction's n = 3, even when the axis is empty.
+void n_row(Expansion& x, ScenarioSpec& spec) {
+  if (spec.world == WorldKind::kTheorem5) return pin(x, spec, spec.n, 3u);
+  fan(x, spec, spec.n, x.grid.ns);
+}
+
+/// kMaxResilience resolves to the protocol's optimal resilience at n, on
+/// relay worlds capped by what the topology's connectivity survives.
+/// Theorem 5 realizes its own single faulty node (f = 1, f_actual = 0);
+/// relay crashes f relays; complete instantiates f Byzantine nodes. Loads
+/// that resolve alike collapse in the digest dedup.
+void fault_row(Expansion& x, ScenarioSpec& spec) {
+  for (const std::int64_t load : x.grid.fault_loads) {
+    const bool max = load == SweepGrid::kMaxResilience;
+    std::uint32_t faults = max ? max_resilience(spec.protocol, spec.n)
+                               : static_cast<std::uint32_t>(load);
+    if (max && spec.world == WorldKind::kRelay)
+      faults = std::min(faults, max_topology_faults(spec.topology, spec.n));
+    const bool thm5 = spec.world == WorldKind::kTheorem5;
+    spec.f = thm5 ? 1 : faults;
+    pin(x, spec, spec.f_actual, thm5 ? 0 : faults);
+  }
+}
+
+/// ũ tracks u on relay worlds (the overlay has no faulty links; ũ_eff
+/// tracks u_eff), when the axis is empty, and for negative values; the rest
+/// clamp into the model's [u, d] so the axis composes with any u axis.
+void u_tilde_row(Expansion& x, ScenarioSpec& spec) {
+  if (spec.world == WorldKind::kRelay || x.grid.u_tildes.empty())
+    return pin(x, spec, spec.u_tilde, spec.u);
+  for (const double ut : x.grid.u_tildes)
+    pin(x, spec, spec.u_tilde,
+        ut < 0.0 ? spec.u : std::min(std::max(ut, spec.u), spec.d));
+}
+
+/// The DelayKind values, then the custom policies; Theorem 5 owns its
+/// delays.
+void delay_row(Expansion& x, ScenarioSpec& spec) {
+  spec.custom_delay.reset();
+  if (spec.world == WorldKind::kTheorem5)
+    return pin(x, spec, spec.delay, kDefaults.delay);
+  fan(x, spec, spec.delay, x.grid.delays);
+  spec.delay = kDefaults.delay;
+  fan(x, spec, spec.custom_delay, x.grid.custom_delays);
+}
+
+/// Search cells only; every budget tries at least one candidate, and an
+/// empty axis means the default budget.
+void search_budget_row(Expansion& x, ScenarioSpec& spec) {
+  if (spec.relay_fault != relay::RelayFaultKind::kSearch ||
+      x.grid.search_budgets.empty())
+    return pin(x, spec, spec.search_budget, kDefaults.search_budget);
+  for (const std::uint32_t budget : x.grid.search_budgets)
+    pin(x, spec, spec.search_budget, std::max(budget, 1u));
+}
+
+/// A non-churning point is the static cell: its rate and reconnect policy
+/// normalize to the defaults, so rate 0 × several policies collapses to one
+/// cell.
+void reconnect_row(Expansion& x, ScenarioSpec& spec) {
+  if (!reads_churn(spec))
+    return pin(x, spec, spec.reconnect, kDefaults.reconnect);
+  const double rate = spec.churn_rate;
+  const bool churning = rate > 0.0 || spec.join_batch > 0;
+  if (!churning) spec.churn_rate = kDefaults.churn_rate;
+  for (const auto policy : x.grid.reconnects)
+    pin(x, spec, spec.reconnect, churning ? policy : kDefaults.reconnect);
+  spec.churn_rate = rate;
+}
+
+/// Fault-free churning relay cells only: on a static graph the envelope's
+/// edge-age decay is degenerate. An empty axis means the default 1.0.
+void kllo_stab_row(Expansion& x, ScenarioSpec& spec) {
+  if (spec.f_actual > 0 || !spec.dynamic() || x.grid.kllo_stabs.empty())
+    return pin(x, spec, spec.kllo_stab, kDefaults.kllo_stab);
+  fan(x, spec, spec.kllo_stab, x.grid.kllo_stabs);
+}
+
+using AxisRow = void (*)(Expansion&, ScenarioSpec&);
+
+/// One row per axis, outermost first. An axis whose list is empty yields
+/// no cells for the worlds that read it.
+constexpr AxisRow kAxisRows[] = {
+    axis<&SweepGrid::worlds, &ScenarioSpec::world>,
+    protocol_row,
+    n_row,
+    axis<&SweepGrid::topologies, &ScenarioSpec::topology, on_relay>,
+    fault_row,
+    axis<&SweepGrid::varthetas, &ScenarioSpec::vartheta>,
+    axis<&SweepGrid::us, &ScenarioSpec::u>,
+    u_tilde_row,
+    delay_row,
+    axis<&SweepGrid::clock_kinds, &ScenarioSpec::clocks, off_theorem5>,
+    axis<&SweepGrid::cryptos, &ScenarioSpec::crypto, off_theorem5>,
+    axis<&SweepGrid::strategies, &ScenarioSpec::strategy, faulty_complete>,
+    axis<&SweepGrid::relay_faults, &ScenarioSpec::relay_fault, faulty_relay>,
+    search_budget_row,
+    axis<&SweepGrid::churn_rates, &ScenarioSpec::churn_rate, reads_churn>,
+    axis<&SweepGrid::join_batches, &ScenarioSpec::join_batch, reads_churn>,
+    reconnect_row,
+    kllo_stab_row,
+};
+
+void Expansion::next(ScenarioSpec& spec) {
+  if (row == std::size(kAxisRows)) {
     if (seen.insert(spec.key()).second) specs.push_back(spec);
-  };
-  // The ũ axis tracks u when not given explicitly; a sentinel NaN-free copy
-  // keeps the loop below uniform.
-  const std::vector<double> ut_axis =
-      u_tildes.empty() ? std::vector<double>{-1.0} : u_tildes;
-
-  // The delay axis is DelayKind values followed by custom policies; one
-  // struct keeps the expansion loop uniform.
-  struct DelayPoint {
-    sim::DelayKind kind = sim::DelayKind::kRandom;
-    std::optional<CustomDelaySpec> custom;
-  };
-  std::vector<DelayPoint> delay_axis;
-  for (const auto kind : delays) delay_axis.push_back({kind, std::nullopt});
-  for (const auto& custom : custom_delays)
-    delay_axis.push_back({sim::DelayKind::kRandom, custom});
-
-  // Dynamic axes, innermost. Inert combinations normalize to the canonical
-  // static point (churn=0, join=0, random) so rate=0 × several reconnect
-  // policies collapses to one cell via digest dedup.
-  struct ChurnPoint {
-    double rate = 0.0;
-    std::uint32_t batch = 0;
-    relay::ReconnectPolicy reconnect = relay::ReconnectPolicy::kRandom;
-  };
-  std::vector<ChurnPoint> churn_axis;
-  for (const double rate : churn_rates) {
-    for (const std::uint32_t batch : join_batches) {
-      for (const auto policy : reconnects) {
-        churn_axis.push_back(rate > 0.0 || batch > 0
-                                 ? ChurnPoint{rate, batch, policy}
-                                 : ChurnPoint{});
-      }
-    }
+    return;
   }
-  const std::vector<double> stab_axis =
-      kllo_stabs.empty() ? std::vector<double>{1.0} : kllo_stabs;
+  kAxisRows[row++](*this, spec);
+  --row;
+}
 
-  for (const auto world : worlds) {
-    const bool relay = world == WorldKind::kRelay;
-    const bool thm5 = world == WorldKind::kTheorem5;
-    // kTheorem5 pins the construction shape regardless of the n axis.
-    const std::vector<std::uint32_t> world_ns =
-        thm5 ? std::vector<std::uint32_t>{3} : ns;
-    const std::vector<DelayPoint> world_delays =
-        thm5 ? std::vector<DelayPoint>{DelayPoint{}} : delay_axis;
-    const std::vector<sim::ClockKind> world_clocks =
-        thm5 ? std::vector<sim::ClockKind>{sim::ClockKind::kSpread}
-             : clock_kinds;
-    const std::vector<TopologyKind> world_topologies =
-        relay ? topologies : std::vector<TopologyKind>{TopologyKind::kComplete};
-    // Relay worlds have no faulty links — effective_model derives its own
-    // ũ_eff = u_eff — so the ũ axis collapses to "track u" there; multiplying
-    // it would reseed identical worlds and read as a fake ũ effect.
-    const std::vector<double> world_uts =
-        relay ? std::vector<double>{-1.0} : ut_axis;
-    // Theorem-5 collapses the crypto axis (nothing is forged there); its
-    // specs keep the default kReal so digest-based dedup folds duplicates.
-    const std::vector<CryptoMode> world_cryptos =
-        thm5 ? std::vector<CryptoMode>{CryptoMode::kReal} : cryptos;
-    // The probe protocol is meaningless under the Theorem-5 construction
-    // (run_theorem5 would report it infeasible); skip the cells entirely
-    // instead of emitting guaranteed-dead rows.
-    std::vector<baselines::ProtocolKind> world_protocols = protocols;
-    if (thm5) {
-      // Same for the neighbor-scoped gradient/jump-max pair: the Theorem-5
-      // construction has no topology for them to be local on.
-      world_protocols.erase(
-          std::remove_if(world_protocols.begin(), world_protocols.end(),
-                         [](baselines::ProtocolKind p) {
-                           return p == baselines::ProtocolKind::kFloodProbe ||
-                                  baselines::neighbor_cast(p);
-                         }),
-          world_protocols.end());
-    }
+}  // namespace
 
-    for (const auto protocol : world_protocols) {
-      for (const auto n : world_ns) {
-        for (const auto topology : world_topologies) {
-          // Resolve fault loads up front and dedupe: kMaxResilience can
-          // collapse onto an explicit count (e.g. LW at n = 3 has max
-          // resilience 0). Relay worlds additionally cap resilience at what
-          // the topology's connectivity supports.
-          std::vector<std::uint32_t> fault_counts;
-          for (const auto load : fault_loads) {
-            std::uint32_t faults =
-                load == kMaxResilience ? max_resilience(protocol, n)
-                                       : static_cast<std::uint32_t>(load);
-            if (relay && load == kMaxResilience)
-              faults = std::min(faults, max_topology_faults(topology, n));
-            if (thm5) faults = 1;  // the construction's single faulty node
-            if (std::find(fault_counts.begin(), fault_counts.end(), faults) ==
-                fault_counts.end())
-              fault_counts.push_back(faults);
-          }
-          for (const std::uint32_t faults : fault_counts) {
-            for (const double vartheta : varthetas) {
-              for (const double u : us) {
-                for (const double ut : world_uts) {
-                  for (const auto delay : world_delays) {
-                    for (const auto clock : world_clocks) {
-                     for (const auto crypto : world_cryptos) {
-                      ScenarioSpec spec;
-                      spec.world = world;
-                      spec.topology = topology;
-                      spec.protocol = protocol;
-                      spec.n = n;
-                      spec.f = faults;
-                      // Theorem-5 realizes its own faulty node; relay crashes
-                      // f relays; complete instantiates f Byzantine nodes.
-                      spec.f_actual = thm5 ? 0 : faults;
-                      spec.d = d;
-                      spec.u = u;
-                      // Clamp ũ into the model's [u, d] requirement so an
-                      // explicit ũ axis composes with any u axis.
-                      spec.u_tilde =
-                          ut < 0.0 ? u : std::min(std::max(ut, u), d);
-                      spec.vartheta = vartheta;
-                      spec.delay = delay.kind;
-                      spec.custom_delay = delay.custom;
-                      spec.clocks = clock;
-                      spec.rounds = rounds;
-                      spec.warmup = warmup;
-                      spec.slack = slack;
-                      spec.crypto = crypto;
-                      if (relay && faults > 0) {
-                        // Faulty relay points multiply by the relay-fault
-                        // axis instead of the (complete-world) strategies.
-                        // Oblivious kinds keep their historical static-only
-                        // cells (pre-existing sweep surfaces stay
-                        // byte-identical); the adaptive kinds additionally
-                        // take the churn axes, and kSearch alone multiplies
-                        // by the search-budget axis.
-                        const std::vector<std::uint32_t> budget_axis =
-                            search_budgets.empty()
-                                ? std::vector<std::uint32_t>{8}
-                                : search_budgets;
-                        for (const auto fault : relay_faults) {
-                          spec.relay_fault = fault;
-                          if (!relay::adaptive(fault)) {
-                            spec.search_budget = 8;
-                            push(spec);
-                            continue;
-                          }
-                          const std::vector<std::uint32_t> budgets =
-                              fault == relay::RelayFaultKind::kSearch
-                                  ? budget_axis
-                                  : std::vector<std::uint32_t>{8};
-                          for (const std::uint32_t budget : budgets) {
-                            spec.search_budget = std::max(budget, 1u);
-                            for (const auto& churn : churn_axis) {
-                              spec.churn_rate = churn.rate;
-                              spec.join_batch = churn.batch;
-                              spec.reconnect = churn.reconnect;
-                              push(spec);
-                            }
-                            spec.churn_rate = 0.0;
-                            spec.join_batch = 0;
-                            spec.reconnect = relay::ReconnectPolicy::kRandom;
-                          }
-                          spec.search_budget = 8;
-                        }
-                        continue;
-                      }
-                      if (relay && faults == 0) {
-                        // Only fault-free relay points take the dynamic
-                        // axes: churn and Byzantine relays are separate
-                        // regimes, and the other worlds have no schedule.
-                        // The KLLO stabilization axis multiplies only the
-                        // dynamic churn points — on a static graph the
-                        // envelope's age decay is degenerate, so inert
-                        // points normalize to 1.0 and collapse via dedup.
-                        for (const auto& churn : churn_axis) {
-                          spec.churn_rate = churn.rate;
-                          spec.join_batch = churn.batch;
-                          spec.reconnect = churn.reconnect;
-                          const bool churning =
-                              churn.rate > 0.0 || churn.batch > 0;
-                          for (const double stab : stab_axis) {
-                            spec.kllo_stab = churning ? stab : 1.0;
-                            push(spec);
-                          }
-                        }
-                        spec.kllo_stab = 1.0;
-                        continue;
-                      }
-                      if (faults == 0 || relay || thm5) {
-                        push(spec);  // strategy axis is irrelevant
-                        continue;
-                      }
-                      for (const auto strategy : strategies) {
-                        spec.strategy = strategy;
-                        push(spec);
-                      }
-                     }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return specs;
+std::vector<ScenarioSpec> SweepGrid::expand() const {
+  ScenarioSpec spec;
+  spec.d = d;
+  spec.rounds = rounds;
+  spec.warmup = warmup;
+  spec.slack = slack;
+  Expansion x{*this};
+  x.next(spec);
+  return std::move(x.specs);
 }
 
 }  // namespace crusader::runner

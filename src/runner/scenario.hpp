@@ -212,19 +212,13 @@ struct ScenarioSpec {
   [[nodiscard]] std::uint64_t key() const noexcept;
 };
 
-/// Axis lists expanded into the cross product of ScenarioSpecs. Expansion
-/// order (outer to inner): world, protocol, n, topology, fault load,
-/// vartheta, u, u_tilde, delay, clocks, strategy/relay-fault, churn. Axes
-/// that a world cannot express collapse to one spec instead of multiplying:
-///  * fault-free grid points ignore the strategy and relay-fault axes;
-///  * kComplete ignores the topology and relay-fault axes;
-///  * kRelay ignores the strategy axis (faulty relays misbehave per the
-///    relay-fault axis instead) and the ũ axis (the overlay has no faulty
-///    links; ũ_eff tracks u_eff);
-///  * kTheorem5 pins n = 3, f = 1 and ignores the fault, delay, clocks,
-///    topology, strategy, and relay-fault axes (the construction owns all
-///    of those).
-/// Collapsed duplicates are deduplicated by spec digest.
+/// Axis lists expanded into the cross product of ScenarioSpecs. expand()
+/// walks one table of axis rows, kAxisRows in scenario.cpp, outermost
+/// first (world, protocol, n, ..., kllo_stab). Each row states which cells
+/// read its axis: those fan out over the list, and cells that cannot
+/// express the axis pin the field instead of multiplying (e.g. kTheorem5
+/// pins n = 3, f = 1 and the delay, clock, crypto, and churn fields).
+/// Collapsed duplicates are deduplicated by spec digest, first one kept.
 struct SweepGrid {
   std::vector<WorldKind> worlds{WorldKind::kComplete};
   std::vector<baselines::ProtocolKind> protocols{
@@ -262,10 +256,10 @@ struct SweepGrid {
   /// Crypto-mode axis (kTheorem5 collapses to kReal — the construction's
   /// adversary forges nothing, so the axis has no effect there).
   std::vector<CryptoMode> cryptos{CryptoMode::kReal};
-  /// Dynamic-network axes, expanded innermost. Only fault-free kRelay grid
-  /// points multiply by them (churn and Byzantine relays are separate
-  /// regimes); every other point — and every inert combination — collapses
-  /// to the single static cell via digest dedup.
+  /// Dynamic-network axes, expanded innermost. Fault-free kRelay grid
+  /// points and adaptive faulty ones multiply by them (churn and oblivious
+  /// Byzantine relays are separate regimes); every other point — and every
+  /// inert combination — collapses to the single static cell.
   std::vector<double> churn_rates{0.0};
   std::vector<std::uint32_t> join_batches{0};
   std::vector<relay::ReconnectPolicy> reconnects{

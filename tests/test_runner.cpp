@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runner/export.hpp"
 #include "runner/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace crusader::runner {
 namespace {
@@ -239,6 +244,189 @@ TEST(Scenario, UtildeIsAFirstClassGridAxis) {
   grid.u_tildes = {1e-6, 0.2};
   const auto clamped = grid.expand();
   for (const auto& spec : clamped) EXPECT_GE(spec.u_tilde, spec.u);
+}
+
+/// A random ordered subset of `items`: empty one draw in 30, otherwise 1 to
+/// `max_size` distinct values in random order (so reversed orders occur).
+template <typename T>
+std::vector<T> draw_subset(util::Rng& rng, std::initializer_list<T> items,
+                           std::size_t max_size) {
+  if (rng.below(30) == 0) return {};
+  std::vector<T> pool(items);
+  for (std::size_t i = pool.size(); i > 1; --i)
+    std::swap(pool[i - 1], pool[rng.below(i)]);
+  pool.resize(1 + rng.below(std::min(max_size, pool.size())));
+  return pool;
+}
+
+/// A grid touching every axis: random subsets (empty ones included) in
+/// random order, custom delays, search budget 0, ũ outside [u, d], a churn
+/// rate of -0 (which the CLI accepts), and d ≠ 1, also below u.
+SweepGrid draw_grid(util::Rng& rng) {
+  using baselines::ProtocolKind;
+  SweepGrid g;
+  g.worlds = draw_subset(rng, {WorldKind::kComplete, WorldKind::kRelay,
+                               WorldKind::kTheorem5}, 2);
+  g.protocols = draw_subset(
+      rng, {ProtocolKind::kCps, ProtocolKind::kLynchWelch,
+            ProtocolKind::kSrikanthToueg, ProtocolKind::kFloodProbe,
+            ProtocolKind::kGradient, ProtocolKind::kJumpMax}, 2);
+  g.ns = draw_subset<std::uint32_t>(rng, {3, 4, 7, 8, 12, 16}, 2);
+  g.fault_loads = draw_subset<std::int64_t>(
+      rng, {0, 1, 2, 3, SweepGrid::kMaxResilience}, 3);
+  g.varthetas = draw_subset(rng, {1.001, 1.01, 1.05}, 2);
+  g.us = draw_subset(rng, {0.01, 0.05, 0.2}, 2);
+  g.u_tildes = rng.below(2) == 0
+                   ? std::vector<double>{}
+                   : draw_subset(rng, {0.005, 0.1, 0.3, 1.5, -1.0}, 2);
+  g.delays = draw_subset(rng, {sim::DelayKind::kMax, sim::DelayKind::kMin,
+                               sim::DelayKind::kRandom,
+                               sim::DelayKind::kSplit}, 2);
+  CustomDelaySpec fixed;
+  fixed.fraction = 0.25;
+  CustomDelaySpec alternate;
+  alternate.kind = CustomDelaySpec::Kind::kAlternate;
+  CustomDelaySpec target;
+  target.kind = CustomDelaySpec::Kind::kTarget;
+  target.target = 2;
+  g.custom_delays = rng.below(3) == 0
+                        ? draw_subset(rng, {fixed, alternate, target}, 2)
+                        : std::vector<CustomDelaySpec>{};
+  g.clock_kinds = draw_subset(rng, {sim::ClockKind::kNominal,
+                                    sim::ClockKind::kSpread,
+                                    sim::ClockKind::kRandomWalk}, 2);
+  g.topologies = draw_subset(
+      rng, {TopologyKind::kComplete, TopologyKind::kRing,
+            TopologyKind::kChordalRing, TopologyKind::kRingOfCliques,
+            TopologyKind::kHypercube, TopologyKind::kRandomConnected}, 2);
+  g.strategies = draw_subset(
+      rng, {core::ByzStrategy::kCrash, core::ByzStrategy::kSplit,
+            core::ByzStrategy::kReplay, core::ByzStrategy::kGreedySkew}, 2);
+  g.relay_faults = draw_subset(
+      rng, {relay::RelayFaultKind::kCrash, relay::RelayFaultKind::kReorder,
+            relay::RelayFaultKind::kGreedySkew,
+            relay::RelayFaultKind::kSearch}, 2);
+  g.search_budgets = draw_subset<std::uint32_t>(rng, {0, 1, 8, 32}, 2);
+  g.cryptos = draw_subset(rng, {CryptoMode::kReal, CryptoMode::kAbstract}, 2);
+  g.churn_rates = draw_subset(rng, {0.0, -0.0, 0.05, 0.25}, 2);
+  g.join_batches = draw_subset<std::uint32_t>(rng, {0, 2}, 2);
+  g.reconnects = draw_subset(
+      rng, {relay::ReconnectPolicy::kRandom,
+            relay::ReconnectPolicy::kPreferential,
+            relay::ReconnectPolicy::kRingRepair}, 2);
+  g.kllo_stabs = draw_subset(rng, {1.0, 0.5, 4.0}, 2);
+  g.d = rng.below(4) == 0 ? 0.5 : (rng.below(8) == 0 ? 0.1 : 1.0);
+  g.rounds = 10 + rng.below(20);
+  g.warmup = rng.below(5);
+  g.slack = rng.below(4) == 0 ? 1.5 : 1.0;
+  return g;
+}
+
+/// FNV-1a, fixed across platforms and standard libraries.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Expansion is pinned as data: about 500 seeded random grids fold every
+// spec's key() and its CSV row, in order, into one digest. Any change to
+// which cells a grid yields, their order, fields, or seeds moves it.
+TEST(Scenario, ExpansionPinnedOverSeededRandomGrids) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t total = 0;
+  std::size_t empty_grids = 0;
+  std::ostringstream os;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    util::Rng rng(seed);
+    const auto specs = draw_grid(rng).expand();
+    if (specs.empty()) ++empty_grids;
+    for (const auto& spec : specs) {
+      const std::uint64_t key = spec.key();
+      digest = fnv1a(digest, std::string_view(
+                                 reinterpret_cast<const char*>(&key),
+                                 sizeof key));
+      ScenarioResult row;
+      row.spec = spec;
+      os.str("");
+      write_csv_row(os, row);
+      digest = fnv1a(digest, os.str());
+    }
+    total += specs.size();
+  }
+  // Pinned data: change these only with an intended change to expansion.
+  EXPECT_EQ(total, 51303u);
+  EXPECT_EQ(empty_grids, 154u);
+  EXPECT_EQ(digest, 1317719445009385353ULL);
+}
+
+TEST(Scenario, Theorem5PinsNEvenWithEmptyNAxis) {
+  SweepGrid grid;
+  grid.worlds = {WorldKind::kTheorem5};
+  grid.protocols = {baselines::ProtocolKind::kCps,
+                    baselines::ProtocolKind::kFloodProbe};
+  grid.ns = {};
+  grid.fault_loads = {0, SweepGrid::kMaxResilience};
+  grid.u_tildes = {0.1, 0.2};
+  const auto specs = grid.expand();
+  // Probe is skipped; the two fault loads collapse onto f = 1.
+  ASSERT_EQ(specs.size(), 2u);
+  for (const auto& spec : specs) {
+    EXPECT_EQ(spec.protocol, baselines::ProtocolKind::kCps);
+    EXPECT_EQ(spec.n, 3u);
+    EXPECT_EQ(spec.f, 1u);
+    EXPECT_EQ(spec.f_actual, 0u);
+  }
+  EXPECT_EQ(specs[0].u_tilde, 0.1);
+  EXPECT_EQ(specs[1].u_tilde, 0.2);
+}
+
+TEST(Scenario, EmptyReconnectAxisDropsChurnReadingRelayCells) {
+  SweepGrid grid;
+  grid.worlds = {WorldKind::kComplete, WorldKind::kRelay};
+  grid.ns = {8};
+  grid.topologies = {TopologyKind::kHypercube};
+  grid.fault_loads = {0, SweepGrid::kMaxResilience};
+  grid.relay_faults = {relay::RelayFaultKind::kCrash,
+                       relay::RelayFaultKind::kGreedySkew};
+  grid.reconnects = {};
+  const auto specs = grid.expand();
+  // Complete cells never read the churn axes; of the relay cells only the
+  // oblivious faulty one survives (fault-free and adaptive cells read it).
+  ASSERT_EQ(specs.size(), 3u);
+  EXPECT_EQ(specs[0].world, WorldKind::kComplete);
+  EXPECT_EQ(specs[0].f, 0u);
+  EXPECT_EQ(specs[1].world, WorldKind::kComplete);
+  EXPECT_EQ(specs[1].f, 3u);
+  EXPECT_EQ(specs[2].world, WorldKind::kRelay);
+  EXPECT_EQ(specs[2].f, 2u);
+  EXPECT_EQ(specs[2].relay_fault, relay::RelayFaultKind::kCrash);
+}
+
+TEST(Scenario, EmptySearchBudgetAndKlloStabAxesMeanTheDefaults) {
+  SweepGrid grid;
+  grid.worlds = {WorldKind::kRelay};
+  grid.ns = {8};
+  grid.topologies = {TopologyKind::kHypercube};
+  grid.fault_loads = {0, SweepGrid::kMaxResilience};
+  grid.relay_faults = {relay::RelayFaultKind::kSearch};
+  grid.search_budgets = {};
+  grid.kllo_stabs = {};
+  grid.churn_rates = {0.0, 0.1};
+  const auto specs = grid.expand();
+  // Fault-free: static + churned; faulty search: static + churned.
+  ASSERT_EQ(specs.size(), 4u);
+  for (const auto& spec : specs) {
+    EXPECT_EQ(spec.search_budget, 8u);
+    EXPECT_EQ(spec.kllo_stab, 1.0);
+  }
+  EXPECT_FALSE(specs[0].dynamic());
+  EXPECT_TRUE(specs[1].dynamic());
+  EXPECT_EQ(specs[2].relay_fault, relay::RelayFaultKind::kSearch);
+  EXPECT_FALSE(specs[2].dynamic());
+  EXPECT_TRUE(specs[3].dynamic());
 }
 
 // Minimal CSV reader for round-trip checks: honors RFC-4180-style quoting as
