@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <gtest/gtest.h>
 #include <iterator>
@@ -20,7 +21,10 @@
 #include "baselines/factories.hpp"
 #include "core/cps.hpp"
 #include "core/params.hpp"
+#include "relay/schedule.hpp"
 #include "relay/topology.hpp"
+#include "sim/network.hpp"
+#include "sim/node.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -428,6 +432,306 @@ TEST(RelayWorld, PhysicalMessageAccounting) {
   EXPECT_GT(result.floods, 0u);
   // Flooding a 6-ring costs 2 physical messages per node per flood.
   EXPECT_GE(result.physical_messages, result.floods * 6);
+}
+
+// --- Pinned relay-world digests ---------------------------------------------
+//
+// Byte identity is the contract for every change to the flood machinery
+// (delivery state, holds, batching, retention replay): these digests were
+// recorded from the per-host hash-table implementation and must never move.
+
+std::uint64_t double_bits(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+/// Order-sensitive digest of a run: every pulse's real and local time, the
+/// engine event count, physical messages, and floods.
+std::uint64_t run_digest(const RelayRunResult& run) {
+  std::uint64_t h = 0x9e1a7ULL;
+  const auto fold = [&h](std::uint64_t x) { h = util::mix64(h ^ x); };
+  for (NodeId v = 0; v < run.trace.n(); ++v) {
+    fold(run.trace.pulse_count(v));
+    for (const auto& p : run.trace.pulses(v)) {
+      fold(double_bits(p.real_time));
+      fold(double_bits(p.local_time));
+    }
+  }
+  fold(run.events);
+  fold(run.physical_messages);
+  fold(run.floods);
+  return h;
+}
+
+struct PinnedCell {
+  Topology topology = Topology::ring(8);
+  baselines::ProtocolKind protocol = baselines::ProtocolKind::kSrikanthToueg;
+  std::uint32_t f = 0;
+  RelayFaultKind fault = RelayFaultKind::kCrash;
+  sim::DelayKind delay = sim::DelayKind::kRandom;
+  ChurnPolicy churn;
+  std::size_t rounds = 6;
+};
+
+/// One direct world run configured the way the sweep runner configures a
+/// relay cell (schedule, effective model, epoch alignment, horizon).
+RelayRunResult run_pinned(const PinnedCell& cell, bool batch) {
+  const std::uint32_t n = cell.topology.n();
+  RelayConfig config;
+  config.topology = cell.topology;
+  config.hop_model = hop_model(n, cell.f);
+  config.seed = 17;
+  config.delay_kind = cell.delay;
+  config.faulty = sim::default_faulty_set(cell.f);
+  config.fault_kind = cell.fault;
+  config.attack_seed = cell.fault == RelayFaultKind::kSearch ? 7 : 0;
+  config.batch = batch;
+  config.neighbor_cast = baselines::neighbor_cast(cell.protocol);
+
+  std::shared_ptr<const TopologySchedule> schedule;
+  if (cell.churn.dynamic()) {
+    schedule = std::make_shared<TopologySchedule>(TopologySchedule::generate(
+        config.topology, cell.churn,
+        static_cast<std::uint32_t>(cell.rounds + 2), 29));
+  }
+  const RelayEffective effective =
+      config.neighbor_cast ? RelayEffective{config.hop_model, 1, true}
+      : schedule != nullptr
+          ? effective_from_hops(config.hop_model,
+                                analyze_schedule_worst_hops(*schedule, 0))
+          : compute_effective(config);
+  const auto setup = baselines::make_setup(cell.protocol, effective.model);
+  CS_CHECK(setup.feasible);
+  config.initial_offset = setup.initial_offset;
+  config.horizon = setup.initial_offset +
+                   static_cast<double>(cell.rounds + 2) * setup.round_length;
+  if (schedule != nullptr) {
+    config.schedule = schedule;
+    config.epoch_start = setup.initial_offset + setup.round_length;
+    config.epoch_length = setup.round_length;
+  }
+  RelayWorld world(config,
+                   baselines::make_protocol_factory(
+                       setup, static_cast<Round>(cell.rounds)),
+                   effective);
+  return world.run();
+}
+
+/// Runs `cell` with batching on and off; both must land on `expected`.
+void expect_pinned(const PinnedCell& cell, std::uint64_t expected,
+                   const std::string& label) {
+  for (const bool batch : {true, false}) {
+    const RelayRunResult run = run_pinned(cell, batch);
+    EXPECT_GT(run.floods, 0u) << label;
+    EXPECT_GT(run.trace.complete_rounds(), 0u) << label;
+    EXPECT_EQ(run_digest(run), expected)
+        << label << " batch=" << batch << " digest=0x" << std::hex
+        << run_digest(run);
+  }
+}
+
+constexpr RelayFaultKind kAllRelayFaults[] = {
+    RelayFaultKind::kCrash,         RelayFaultKind::kMaxDelay,
+    RelayFaultKind::kReorder,       RelayFaultKind::kSelectiveDrop,
+    RelayFaultKind::kGreedySkew,    RelayFaultKind::kSearch};
+
+TEST(RelayDigest, EveryFaultKindOnRingAndHypercubeIsPinned) {
+  // Srikanth–Toueg: every node floods every round, so copies race along
+  // both ring directions and re-arm holds. One faulty relay per cell.
+  const std::uint64_t ring[] = {0x73eff5cb3605e7d3, 0xd00aee7c6250f223,
+                                0x0805f21892aed969, 0x20f39626d362f228,
+                                0xd97ab7cc9886007a, 0x84312f8a40d5ad52};
+  const std::uint64_t cube[] = {0xa752234617c1c18a, 0xc041d0b515fc4c41,
+                                0x699163b82fc21323, 0xb2bd4e675fb53b10,
+                                0xe8d9102b80f126a1, 0xe8b75ee0364d8517};
+  for (std::size_t k = 0; k < std::size(kAllRelayFaults); ++k) {
+    PinnedCell cell;
+    cell.f = 1;
+    cell.fault = kAllRelayFaults[k];
+    expect_pinned(cell, ring[k],
+                  std::string("ring/") + to_string(kAllRelayFaults[k]));
+    cell.topology = Topology::hypercube(3);
+    cell.delay = sim::DelayKind::kSplit;
+    expect_pinned(cell, cube[k],
+                  std::string("hypercube/") + to_string(kAllRelayFaults[k]));
+  }
+}
+
+TEST(RelayDigest, ChurnedCellsWithLeavesAndRejoinsArePinned) {
+  // join_batch > 0: hosts leave with holds armed and rejoin to retained
+  // replays, so dropped and re-created delivery state shows in the bytes.
+  PinnedCell cell;
+  cell.topology = Topology::hypercube(4);
+  cell.churn.churn_rate = 0.1;
+  cell.churn.join_batch = 2;
+  cell.rounds = 8;
+  expect_pinned(cell, 0xfc743fb32fab37b7, "churned/st");
+  cell.protocol = baselines::ProtocolKind::kFloodProbe;
+  cell.churn.reconnect = ReconnectPolicy::kRingRepair;
+  cell.delay = sim::DelayKind::kSplit;
+  expect_pinned(cell, 0x88c759947c6039fc, "churned/probe");
+  // A participating faulty relay (pinned against churn) on top.
+  cell.protocol = baselines::ProtocolKind::kCps;
+  cell.f = 1;
+  cell.fault = RelayFaultKind::kGreedySkew;
+  cell.churn.pinned.assign(16, false);
+  cell.churn.pinned[0] = true;
+  expect_pinned(cell, 0x4e0eaa1b2c4170a6, "churned/cps/greedy");
+}
+
+TEST(RelayDigest, GradientNeighborCastCellIsPinned) {
+  PinnedCell cell;
+  cell.topology = Topology::hypercube(4);
+  cell.protocol = baselines::ProtocolKind::kGradient;
+  cell.churn.churn_rate = 0.1;
+  cell.churn.join_batch = 1;
+  cell.rounds = 10;
+  expect_pinned(cell, 0xaf0813432c33ab5e, "gradient");
+}
+
+// --- Delivery state across a leave and rejoin --------------------------------
+
+/// Shared log of every protocol-visible event in the rejoin scenario.
+struct RejoinLog {
+  /// (node, incarnation, real time) per processed flood copy.
+  struct Processed {
+    NodeId node;
+    std::size_t incarnation;
+    double at;
+  };
+  std::vector<Processed> processed;
+  /// (from, to, send time) per scheduled hop.
+  struct Hop {
+    NodeId from;
+    NodeId to;
+    double at;
+  };
+  std::vector<Hop> hops;
+  std::vector<std::size_t> incarnations;
+};
+
+/// Broadcasts one message at local time 1 from the designated origin and
+/// logs every message it processes.
+class OneShotNode final : public sim::PulseNode {
+ public:
+  OneShotNode(NodeId id, NodeId origin, std::size_t incarnation,
+              std::shared_ptr<RejoinLog> log)
+      : id_(id), origin_(origin), incarnation_(incarnation),
+        log_(std::move(log)) {}
+  void on_start(sim::Env& env) override {
+    if (id_ == origin_ && incarnation_ == 0) (void)env.schedule_at_local(1.0, 0);
+  }
+  void on_message(sim::Env& env, const sim::Message&) override {
+    log_->processed.push_back({id_, incarnation_, env.local_now()});
+  }
+  void on_timer(sim::Env& env, std::uint64_t) override {
+    env.broadcast(sim::Message{});
+  }
+
+ private:
+  NodeId id_;
+  NodeId origin_;
+  std::size_t incarnation_;
+  std::shared_ptr<RejoinLog> log_;
+};
+
+/// Max-delay hops that log every forward the world schedules.
+class LoggingMaxDelay final : public sim::DelayPolicy {
+ public:
+  explicit LoggingMaxDelay(std::shared_ptr<RejoinLog> log)
+      : log_(std::move(log)) {}
+  double delay(NodeId from, NodeId to, double send_time, const sim::Message&,
+               double, double hi, util::Rng&) override {
+    log_->hops.push_back({from, to, send_time});
+    return hi;
+  }
+  [[nodiscard]] std::string name() const override { return "logging-max"; }
+
+ private:
+  std::shared_ptr<RejoinLog> log_;
+};
+
+TEST(RelayDeliveryState, RejoinedHostForwardsAndProcessesAReplayedFloodOnce) {
+  // Ring of 6, one flood F from node 5 at t = 1, unit max-delay hops,
+  // nominal clocks (local = real). Node 2 is three hops out: F reaches it at
+  // t = 4 and, with D_f = 4, its hold expires at t = 5. Node 2 leaves at
+  // t = 4.5 — hold armed — and rejoins at t = 6.5, when its neighbors 1 and
+  // 3 replay their retained copy of F across the restored edges.
+  static constexpr NodeId kOrigin = 5;
+  static constexpr NodeId kChurner = 2;
+  ChurnPolicy churn;
+  churn.join_batch = 1;
+  churn.reconnect = ReconnectPolicy::kRingRepair;
+  churn.pinned.assign(6, true);
+  churn.pinned[kChurner] = false;
+  std::shared_ptr<const TopologySchedule> schedule;
+  for (std::uint64_t seed = 1; schedule == nullptr; ++seed) {
+    ASSERT_LT(seed, 100u);
+    auto candidate = std::make_shared<TopologySchedule>(
+        TopologySchedule::generate(Topology::ring(6), churn, 2, seed));
+    if (candidate->deltas()[0].leaves == std::vector<NodeId>{kChurner})
+      schedule = std::move(candidate);
+  }
+  ASSERT_EQ(schedule->deltas()[1].joins, std::vector<NodeId>{kChurner});
+
+  auto log = std::make_shared<RejoinLog>();
+  log->incarnations.assign(6, 0);
+  RelayConfig config;
+  config.topology = schedule->initial();
+  config.hop_model = hop_model(6, 0);
+  config.clock_kind = sim::ClockKind::kNominal;
+  config.custom_delay = [log] {
+    return std::make_unique<LoggingMaxDelay>(log);
+  };
+  config.schedule = schedule;
+  config.epoch_start = 4.5;
+  config.epoch_length = 2.0;
+  config.horizon = 12.0;
+  const RelayEffective effective = effective_from_hops(
+      config.hop_model, analyze_schedule_worst_hops(*schedule, 0));
+  ASSERT_EQ(effective.worst_hops, 4u);
+  RelayWorld world(
+      config,
+      [log](NodeId v) -> std::unique_ptr<sim::PulseNode> {
+        return std::make_unique<OneShotNode>(v, kOrigin,
+                                             log->incarnations[v]++, log);
+      },
+      effective);
+  const RelayRunResult run = world.run();
+  EXPECT_EQ(run.floods, 1u);
+  ASSERT_EQ(log->incarnations[kChurner], 2u);
+
+  // The first incarnation received F before leaving but never processed it.
+  const bool reached_before_leave = std::any_of(
+      log->hops.begin(), log->hops.end(), [](const RejoinLog::Hop& h) {
+        return h.to == kChurner && h.at + 1.0 < 4.5;
+      });
+  EXPECT_TRUE(reached_before_leave);
+  std::vector<RejoinLog::Processed> at_churner;
+  for (const auto& p : log->processed)
+    if (p.node == kChurner) at_churner.push_back(p);
+  // The second incarnation processes F exactly once: replays arrive at
+  // t = 7.5 with three hops, so the hold releases it at t = 8.5.
+  ASSERT_EQ(at_churner.size(), 1u);
+  EXPECT_EQ(at_churner[0].incarnation, 1u);
+  EXPECT_DOUBLE_EQ(at_churner[0].at, 8.5);
+  // ...and forwards it once to each restored neighbor.
+  std::vector<NodeId> forwarded_to;
+  for (const auto& h : log->hops)
+    if (h.from == kChurner && h.at > 6.5) forwarded_to.push_back(h.to);
+  std::sort(forwarded_to.begin(), forwarded_to.end());
+  EXPECT_EQ(forwarded_to, (std::vector<NodeId>{1, 3}));
+  // Every other node processed F exactly once, too.
+  for (NodeId v = 0; v < 6; ++v) {
+    if (v == kOrigin || v == kChurner) continue;
+    EXPECT_EQ(std::count_if(log->processed.begin(), log->processed.end(),
+                            [v](const RejoinLog::Processed& p) {
+                              return p.node == v;
+                            }),
+              1)
+        << "node " << v;
+  }
 }
 
 }  // namespace
