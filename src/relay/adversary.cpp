@@ -1,8 +1,10 @@
 #include "relay/adversary.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -92,8 +94,13 @@ void RelayAdversary::observe(NodeId at, std::uint64_t flood_id,
   obs_digest_ = util::mix64(obs_digest_ ^ (static_cast<std::uint64_t>(at) << 40) ^
                             (static_cast<std::uint64_t>(hops) << 32) ^ flood_id);
   obs_digest_ = util::mix64(obs_digest_ ^ double_bits(now));
-  const auto it = flood_first_.try_emplace(flood_id, now).first;
-  const double lateness = now - it->second;
+  // Flood ids are dense (the world numbers them 0, 1, 2, ...), so the
+  // first-sighting times live in a flat vector; NaN marks "not yet seen".
+  if (flood_id >= flood_first_.size())
+    flood_first_.resize(flood_id + 1, std::numeric_limits<double>::quiet_NaN());
+  double& first = flood_first_[flood_id];
+  if (std::isnan(first)) first = now;
+  const double lateness = now - first;
   late_sum_[at] += lateness;
   ++late_count_[at];
   late_total_ += lateness;

@@ -46,7 +46,6 @@
 // rolling observation_digest() is the replay witness tests compare.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "relay/topology.hpp"
@@ -119,7 +118,9 @@ class RelayAdversary {
   /// adversary is omniscient about traffic, as SecureTime's attacker model
   /// allows); lateness of each node is measured against the flood's first
   /// sighting anywhere. Deterministic given the simulation, and folded into
-  /// observation_digest() so replays can be checked bit-exactly.
+  /// observation_digest() so replays can be checked bit-exactly. Flood ids
+  /// are dense (the world numbers floods 0, 1, 2, ...): first sightings are
+  /// kept in a vector indexed by id.
   void observe(NodeId at, std::uint64_t flood_id, std::uint32_t hops,
                double now);
 
@@ -175,7 +176,7 @@ class RelayAdversary {
   std::vector<std::vector<NodeId>> nbrs_;
 
   // --- Observation state (greedy policy only; survives refresh()) ---------
-  std::unordered_map<std::uint64_t, double> flood_first_;  ///< flood → t₀
+  std::vector<double> flood_first_;  ///< flood id → t₀ (NaN: unseen)
   std::vector<double> late_sum_;          ///< per-node Σ(now − t₀)
   std::vector<std::uint64_t> late_count_;
   double late_total_ = 0.0;

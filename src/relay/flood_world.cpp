@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <sstream>
 #include <utility>
 #include <vector>
 
+#include "sim/time.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -158,21 +158,6 @@ class RelayWorld::NodeHost final : public sim::Env {
   /// First copy of a flood processed here (post-hold).
   void process(const sim::Message& m) { node_->on_message(*this, m); }
 
-  /// Flood bookkeeping: returns true when this id was not seen before.
-  bool first_sight(std::uint64_t flood_id) {
-    return seen_.insert(flood_id).second;
-  }
-
-  /// Destination-side hold management: keep the earliest processing time.
-  /// Unordered: only ever probed by flood id, never iterated, so hash order
-  /// cannot leak into execution order.
-  struct PendingFlood {
-    sim::EventId event = 0;
-    double process_local = 0.0;
-    bool processed = false;
-  };
-  std::unordered_map<std::uint64_t, PendingFlood> pending_;
-
   // --- sim::Env -----------------------------------------------------------
   [[nodiscard]] NodeId id() const override { return id_; }
   [[nodiscard]] const sim::ModelParams& model() const override {
@@ -219,7 +204,6 @@ class RelayWorld::NodeHost final : public sim::Env {
   RelayWorld* world_;
   std::unique_ptr<sim::PulseNode> node_;
   bool active_ = true;
-  std::unordered_set<std::uint64_t> seen_;  // membership only, never iterated
 };
 
 RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
@@ -314,6 +298,7 @@ RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
     // skew metrics regardless).
     hosts_.push_back(std::make_unique<NodeHost>(v, this, factory(v)));
   }
+  incarnation_.assign(n, 0);
 
   if (dynamic_) {
     // Retain forwards long enough to bridge an epoch of disconnection plus
@@ -342,6 +327,7 @@ void RelayWorld::apply_delta(std::size_t epoch) {
   // cell is the protocol's problem (and the metrics exclude the node).
   for (const NodeId v : delta.joins) {
     CS_CHECK(hosts_[v] == nullptr);
+    ++incarnation_[v];  // the old incarnation's delivery state reads empty
     hosts_[v] = std::make_unique<NodeHost>(v, this, factory_(v));
     hosts_[v]->start();
   }
@@ -406,11 +392,43 @@ void RelayWorld::reforward(NodeId from, NodeId to) {
         hop_policy_->delay(from, to, engine_.now(), *r.ref, lo, hi, rng_);
     if (adversarial)
       delay = adversary_->hop_delay(from, to, r.flood_id, delay, lo, hi);
+    check_hop_delay(from, to, delay);
     ++physical_messages_;
     engine_.at(engine_.now() + delay,
                [this, to, flood_id = r.flood_id, next_hops = r.hops + 1,
                 ref = r.ref] { hop_deliver(to, flood_id, next_hops, ref); });
   }
+}
+
+void RelayWorld::check_hop_delay(NodeId from, NodeId to, double delay) const {
+  const double lo = config_.hop_model.d - config_.hop_model.u;
+  const double hi = config_.hop_model.d;
+  if (delay >= lo - sim::kTimeEps && delay <= hi + sim::kTimeEps) return;
+  std::ostringstream oss;
+  oss << "relay hop " << from << " -> " << to << " got delay " << delay
+      << " outside [" << lo << ", " << hi << "]";
+  throw util::ModelViolation(oss.str());
+}
+
+RelayWorld::Delivery& RelayWorld::delivery(NodeId at, std::uint64_t flood_id,
+                                           const sim::MessageArena::Ref& ref) {
+  const std::uint32_t slot = ref.slot();
+  if (slot >= floods_.size()) floods_.resize(slot + 1);
+  FloodTable& table = floods_[slot];
+  if (table.flood_id != flood_id) {
+    table.at.assign(config_.topology.n(), Delivery{});  // reuses capacity
+    table.flood_id = flood_id;
+  }
+  Delivery& entry = table.at[at];
+  if (entry.incarnation != incarnation_[at])
+    entry = Delivery{.incarnation = incarnation_[at]};
+  return entry;
+}
+
+std::size_t RelayWorld::flood_tables() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(floods_.begin(), floods_.end(),
+                    [](const FloodTable& t) { return !t.at.empty(); }));
 }
 
 void RelayWorld::flood_from(NodeId origin, const sim::Message& m) {
@@ -447,6 +465,11 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
     return;
   }
 
+  // A neighbor-cast origin (hops == 0) needs no delivery state: a new
+  // flood id is always a first sight.
+  Delivery* state =
+      config_.neighbor_cast ? nullptr : &delivery(at, flood_id, ref);
+
   // Destination-side processing with path balancing. The origin never
   // processes copies of its own broadcast that cycle back to it.
   if (hops > 0 && at != m.sender) {
@@ -454,23 +477,24 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
         static_cast<double>(worst_hops_ - std::min(hops, worst_hops_)) *
         config_.hop_model.d;
     const double process_local = host.local_now() + hold_local;
-    auto [it, inserted] = host.pending_.try_emplace(flood_id);
-    auto& pending = it->second;
     // Keep the earliest processing time across copies (a later copy with a
     // smaller remaining hold can beat an earlier one).
-    if (!pending.processed &&
-        (inserted || process_local < pending.process_local - 1e-12)) {
-      if (!inserted) engine_.cancel(pending.event);
-      pending.process_local = process_local;
+    if (!state->processed &&
+        (!state->armed || process_local < state->process_local - 1e-12)) {
+      if (state->armed) engine_.cancel(state->hold);
+      state->armed = true;
+      state->process_local = process_local;
       const double t =
           std::max(clocks_[at].real(process_local), engine_.now());
-      pending.event = engine_.at(t, [this, at, flood_id, ref]() {
+      state->hold = engine_.at(t, [this, at, ref]() {
         if (hosts_[at] == nullptr) return;  // left before the hold expired
-        auto& h = *hosts_[at];
-        auto pit = h.pending_.find(flood_id);
-        if (pit == h.pending_.end() || pit->second.processed) return;
-        pit->second.processed = true;
-        h.process(*ref);
+        // The slot is still this flood's (the closure holds its Ref); the
+        // entry may belong to a later incarnation of `at`.
+        Delivery& d = floods_[ref.slot()].at[at];
+        if (d.incarnation != incarnation_[at] || !d.armed || d.processed)
+          return;
+        d.processed = true;
+        hosts_[at]->process(*ref);
       });
     }
   }
@@ -479,7 +503,10 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
   // policy: neighbor pruning (selective drop) and delay override (max-delay
   // holds the full d_hop, reorder pins window extremes) — all still within
   // the model's legal [d_hop − u_hop, d_hop].
-  if (!host.first_sight(flood_id)) return;
+  if (state != nullptr) {
+    if (state->seen) return;
+    state->seen = true;
+  }
   if (dynamic_ && !config_.neighbor_cast) {
     // Record at forward time: whatever this node pushes to its current
     // neighbors is what a future edge to it must replay. Neighbor-cast
@@ -500,6 +527,7 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
       double delay = hop_policy_->delay(at, next, engine_.now(), m, lo, hi, rng_);
       if (adversarial)
         delay = adversary_->hop_delay(at, next, flood_id, delay, lo, hi);
+      check_hop_delay(at, next, delay);
       ++physical_messages_;
       engine_.at(engine_.now() + delay, [this, next, flood_id, hops, ref]() {
         hop_deliver(next, flood_id, hops + 1, ref);
@@ -548,6 +576,7 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
   for (std::uint32_t i = 0; i < n_nbrs; ++i) {
     const double delay =
         hop_policy_->delay(at, nbrs[i], engine_.now(), m, lo, hi, rng_);
+    check_hop_delay(at, nbrs[i], delay);
     ++physical_messages_;
     if (run_count > 0 && delay == run_delay) {
       ++run_count;
@@ -569,7 +598,7 @@ RelayRunResult RelayWorld::run() {
   engine_.run_until(config_.horizon);
 
   RelayRunResult result;
-  result.trace = *trace_;
+  result.trace = std::move(*trace_);
   result.effective = effective_;
   result.worst_hops = worst_hops_;
   result.physical_messages = physical_messages_;

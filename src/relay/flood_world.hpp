@@ -26,10 +26,32 @@
 //
 // Protocol nodes run completely unchanged — they just receive the effective
 // ModelParams. This is exactly the paper's translation statement.
+//
+// Per-flood delivery state: every node's view of one flood — seen (already
+// forwarded), armed (a hold is scheduled) and processed flags, the hold's
+// EventId and local processing time — lives in one dense table of n entries
+// per flood, indexed by node id, so a hop or hold probes a flat array
+// instead of a per-node hash table.
+//  * Key: the flood's MessageArena slot. Every hop, hold and retained
+//    replay of a flood holds a Ref to its payload, so the slot (and with it
+//    the table) belongs to that flood for as long as any copy can still
+//    arrive. A new flood id taking a recycled slot resets the table lazily
+//    on first delivery. Tables therefore number at most the arena's slab
+//    high-water — O(live floods × n) — not one per flood ever sent.
+//  * Incarnations: each node has an incarnation counter, bumped when it
+//    rejoins under churn. An entry stamped by an earlier incarnation reads
+//    as empty, so a rejoined host starts with no delivery state, as a fresh
+//    host would. A hold armed before the leave fires into whatever the
+//    current incarnation has stored for the flood: nothing (it returns) or
+//    the new incarnation's own armed entry (it processes that one).
+//  * Neighbor-cast floods never touch the tables: a received copy returns
+//    before any state is read, and an origin's broadcast is always a first
+//    sight.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -214,8 +236,31 @@ class RelayWorld {
 
   RelayRunResult run();
 
+  /// Diagnostics: per-flood delivery tables allocated so far (at most one
+  /// per slot of arena(); none in neighbor-cast worlds).
+  [[nodiscard]] std::size_t flood_tables() const noexcept;
+  /// The flood payload arena whose slots key the delivery tables.
+  [[nodiscard]] const sim::MessageArena& arena() const noexcept {
+    return arena_;
+  }
+
  private:
   class NodeHost;
+
+  /// One node's state for one flood (see "Per-flood delivery state").
+  struct Delivery {
+    sim::EventId hold = 0;          ///< the armed hold event
+    double process_local = 0.0;     ///< its local processing time
+    std::uint32_t incarnation = 0;  ///< the host incarnation it belongs to
+    bool seen = false;              ///< forwarded (or originated) here
+    bool armed = false;             ///< a hold was scheduled
+    bool processed = false;         ///< the hold delivered it
+  };
+  /// The n entries of the flood currently in one arena slot.
+  struct FloodTable {
+    std::uint64_t flood_id = std::numeric_limits<std::uint64_t>::max();
+    std::vector<Delivery> at;  ///< empty until the slot's first flood
+  };
 
   /// One forward a node made, retained (dynamic schedules only) so a newly
   /// added edge can replay the recent floods its endpoints would have
@@ -232,6 +277,14 @@ class RelayWorld {
   void flood_from(NodeId origin, const sim::Message& m);
   void hop_deliver(NodeId to, std::uint64_t flood_id, std::uint32_t hops,
                    const sim::MessageArena::Ref& ref);
+  /// `at`'s entry in the table of `flood_id` (whose payload is `ref`),
+  /// resetting the table when the flood newly took the slot and the entry
+  /// when an earlier incarnation of `at` wrote it.
+  Delivery& delivery(NodeId at, std::uint64_t flood_id,
+                     const sim::MessageArena::Ref& ref);
+  /// Throws util::ModelViolation unless `delay` is a legal hop delay,
+  /// within [d_hop − u_hop, d_hop].
+  void check_hop_delay(NodeId from, NodeId to, double delay) const;
   /// Applies schedule delta `epoch` to the live topology/hosts (joins →
   /// removed → added → leaves) and prunes the retention window.
   void apply_delta(std::size_t epoch);
@@ -251,6 +304,8 @@ class RelayWorld {
   util::Rng rng_;
   std::unique_ptr<sim::PulseTrace> trace_;
   std::vector<std::unique_ptr<NodeHost>> hosts_;
+  std::vector<FloodTable> floods_;  ///< per arena slot
+  std::vector<std::uint32_t> incarnation_;  ///< per node, bumped on rejoin
   std::uint64_t next_flood_ = 0;
   std::uint64_t physical_messages_ = 0;
 

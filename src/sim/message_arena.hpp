@@ -89,6 +89,10 @@ class MessageArena {
     }
     [[nodiscard]] const Message* operator->() const { return &**this; }
 
+    /// The slot this payload occupies. Stable for as long as this Ref (or
+    /// any copy) lives, so callers may key per-payload side tables by it.
+    [[nodiscard]] std::uint32_t slot() const noexcept { return slot_; }
+
    private:
     friend class MessageArena;
     Ref(std::shared_ptr<State> state, std::uint32_t slot, std::uint32_t gen)

@@ -427,6 +427,40 @@ TEST(RelayWorld, SkewGrowsWithPathLength) {
   EXPECT_GT(ring10.S, ring6.S);
 }
 
+TEST(RelayWorld, OutOfRangeHopDelayIsAModelViolation) {
+  // A custom policy is trusted for nothing: every scheduled hop must fall in
+  // [d_hop − u_hop, d_hop] = [0.98, 1], exactly as the complete world's
+  // Network::choose_delay demands.
+  const auto run_with_fraction = [](double fraction) {
+    RelayConfig config;
+    config.topology = Topology::ring(6);
+    config.hop_model = hop_model(6, 1);
+    config.custom_delay = [fraction] {
+      return std::make_unique<sim::FixedFractionDelayPolicy>(fraction);
+    };
+    const auto params = core::derive_cps_params(effective_model(config));
+    CS_CHECK(params.feasible);
+    config.initial_offset = params.S;
+    config.horizon = params.S + 4 * params.p_max;
+    core::CpsConfig cps;
+    cps.params = params;
+    RelayWorld world(config, [cps](NodeId) {
+      return std::make_unique<core::CpsNode>(cps);
+    });
+    return world.run();
+  };
+  EXPECT_GT(run_with_fraction(1.0).physical_messages, 0u);  // d_hop itself
+  try {
+    (void)run_with_fraction(1.5);
+    FAIL() << "a 1.01 hop delay was scheduled silently";
+  } catch (const util::ModelViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("relay hop "), std::string::npos) << what;
+    EXPECT_NE(what.find("delay 1.01 outside [0.98, 1]"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(RelayWorld, PhysicalMessageAccounting) {
   const auto result = run_cps_on(Topology::ring(6), 1, {}, 5);
   EXPECT_GT(result.floods, 0u);
@@ -652,12 +686,60 @@ class LoggingMaxDelay final : public sim::DelayPolicy {
   std::shared_ptr<RejoinLog> log_;
 };
 
+TEST(RelayDeliveryState, FloodTablesStayWithinTheArenaHighWater) {
+  // Tables are keyed by arena slot and recycled with it: a long
+  // Srikanth–Toueg ring cell sends thousands of floods but only ever holds
+  // as many tables as floods were simultaneously live.
+  RelayConfig config;
+  config.topology = Topology::ring(8);
+  config.hop_model = hop_model(8, 1);
+  const RelayEffective effective = compute_effective(config);
+  const auto setup = baselines::make_setup(
+      baselines::ProtocolKind::kSrikanthToueg, effective.model);
+  ASSERT_TRUE(setup.feasible);
+  constexpr std::size_t kRounds = 200;
+  config.initial_offset = setup.initial_offset;
+  config.horizon = setup.initial_offset +
+                   static_cast<double>(kRounds + 2) * setup.round_length;
+  RelayWorld world(config,
+                   baselines::make_protocol_factory(
+                       setup, static_cast<Round>(kRounds)),
+                   effective);
+  const RelayRunResult run = world.run();
+  ASSERT_TRUE(run.trace.live(kRounds));
+  EXPECT_GT(world.flood_tables(), 0u);
+  EXPECT_LE(world.flood_tables(), world.arena().slab_capacity());
+  EXPECT_GE(run.floods, kRounds * 8);
+  EXPECT_LT(world.flood_tables() * 20, run.floods);
+}
+
+TEST(RelayDeliveryState, NeighborCastAllocatesNoFloodTables) {
+  RelayConfig config;
+  config.topology = Topology::hypercube(4);
+  config.hop_model = hop_model(16, 0);
+  config.neighbor_cast = true;
+  const RelayEffective effective{config.hop_model, 1, true};
+  const auto setup = baselines::make_setup(baselines::ProtocolKind::kGradient,
+                                           effective.model);
+  ASSERT_TRUE(setup.feasible);
+  config.initial_offset = setup.initial_offset;
+  config.horizon = setup.initial_offset + 12.0 * setup.round_length;
+  RelayWorld world(config, baselines::make_protocol_factory(setup, 10),
+                   effective);
+  const RelayRunResult run = world.run();
+  EXPECT_GT(run.floods, 0u);
+  EXPECT_GT(run.trace.complete_rounds(), 0u);
+  EXPECT_EQ(world.flood_tables(), 0u);
+}
+
 TEST(RelayDeliveryState, RejoinedHostForwardsAndProcessesAReplayedFloodOnce) {
   // Ring of 6, one flood F from node 5 at t = 1, unit max-delay hops,
   // nominal clocks (local = real). Node 2 is three hops out: F reaches it at
   // t = 4 and, with D_f = 4, its hold expires at t = 5. Node 2 leaves at
-  // t = 4.5 — hold armed — and rejoins at t = 6.5, when its neighbors 1 and
-  // 3 replay their retained copy of F across the restored edges.
+  // t = 4.5 — hold armed — and rejoins at t = 4.8, when its neighbors 1 and
+  // 3 replay their retained copy of F across the restored edges. The old
+  // hold still fires at t = 5, into the new incarnation, which has not seen
+  // F yet and so must not process it then.
   static constexpr NodeId kOrigin = 5;
   static constexpr NodeId kChurner = 2;
   ChurnPolicy churn;
@@ -686,7 +768,7 @@ TEST(RelayDeliveryState, RejoinedHostForwardsAndProcessesAReplayedFloodOnce) {
   };
   config.schedule = schedule;
   config.epoch_start = 4.5;
-  config.epoch_length = 2.0;
+  config.epoch_length = 0.3;
   config.horizon = 12.0;
   const RelayEffective effective = effective_from_hops(
       config.hop_model, analyze_schedule_worst_hops(*schedule, 0));
@@ -711,15 +793,15 @@ TEST(RelayDeliveryState, RejoinedHostForwardsAndProcessesAReplayedFloodOnce) {
   std::vector<RejoinLog::Processed> at_churner;
   for (const auto& p : log->processed)
     if (p.node == kChurner) at_churner.push_back(p);
-  // The second incarnation processes F exactly once: replays arrive at
-  // t = 7.5 with three hops, so the hold releases it at t = 8.5.
+  // The second incarnation processes F exactly once, on its own hold:
+  // replays arrive at t = 5.8 with three hops, released at t = 6.8.
   ASSERT_EQ(at_churner.size(), 1u);
   EXPECT_EQ(at_churner[0].incarnation, 1u);
-  EXPECT_DOUBLE_EQ(at_churner[0].at, 8.5);
+  EXPECT_DOUBLE_EQ(at_churner[0].at, 6.8);
   // ...and forwards it once to each restored neighbor.
   std::vector<NodeId> forwarded_to;
   for (const auto& h : log->hops)
-    if (h.from == kChurner && h.at > 6.5) forwarded_to.push_back(h.to);
+    if (h.from == kChurner && h.at > 4.8) forwarded_to.push_back(h.to);
   std::sort(forwarded_to.begin(), forwarded_to.end());
   EXPECT_EQ(forwarded_to, (std::vector<NodeId>{1, 3}));
   // Every other node processed F exactly once, too.
