@@ -41,10 +41,10 @@
 //                              custom:alternate, custom:target:<node>
 //                              (--delay is accepted as an alias)
 //   --clocks=spread,random-walk  clock assignments (nominal|spread|random-walk)
-//   --crypto=real,abstract     signature-cost models (real = SHA-256-backed
-//                              hashing, abstract = registry unforgeability
-//                              without hashing bytes — the large-n mode;
-//                              theorem5 collapses the axis)
+//   --crypto=real,abstract     crypto row labels; both run the same
+//                              digest-memoized signature registry, so
+//                              results are identical (theorem5 collapses
+//                              the axis)
 //   --byz=crash,split          Byzantine strategies (only for faults > 0);
 //                              also accepts st-accel
 //   --churn-rate=0,0.05        per-epoch edge-rewire rates (fraction of the

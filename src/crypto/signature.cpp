@@ -1,13 +1,14 @@
 #include "crypto/signature.hpp"
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "crypto/hmac.hpp"
 #include "util/check.hpp"
@@ -22,6 +23,15 @@ std::uint64_t digest_prefix(const Digest& d) noexcept {
   return out;
 }
 
+/// `prefix` followed by `v` in decimal. Pulse and ready contexts stay within
+/// the small-string buffer, so building one allocates nothing.
+std::string decimal(std::string_view prefix, std::uint64_t v) {
+  std::string out(prefix);
+  char digits[20];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+  return out;
+}
+
 }  // namespace
 
 std::uint64_t SignedPayload::hash() const noexcept {
@@ -29,27 +39,23 @@ std::uint64_t SignedPayload::hash() const noexcept {
 }
 
 SignedPayload make_pulse_payload(Round round) {
-  std::ostringstream oss;
-  oss << "tcb-pulse|r=" << round;
-  return SignedPayload{oss.str()};
+  return SignedPayload{decimal("tcb-pulse|r=", round)};
 }
 
 SignedPayload make_value_payload(Round round, NodeId dealer, double value) {
-  std::ostringstream oss;
-  oss << "cb-value|r=" << round << "|dealer=" << dealer << "|v=";
   // Hexfloat keeps the encoding canonical and lossless: %a prints the exact
   // bit pattern (no rounding, no shortest-form search), and this process
   // never touches the C locale, so identical bits sign identical payloads.
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", value);  // lint:allow(float-format)
-  oss << buf;
-  return SignedPayload{oss.str()};
+  char hex[48];
+  const int len = std::snprintf(hex, sizeof hex, "|v=%a", value);  // lint:allow(float-format)
+  std::string context = decimal("cb-value|r=", round);
+  context += decimal("|dealer=", dealer);
+  context.append(hex, static_cast<std::size_t>(len));
+  return SignedPayload{std::move(context)};
 }
 
 SignedPayload make_ready_payload(Round round) {
-  std::ostringstream oss;
-  oss << "st-ready|r=" << round;
-  return SignedPayload{oss.str()};
+  return SignedPayload{decimal("st-ready|r=", round)};
 }
 
 std::uint64_t Signature::key() const noexcept {
@@ -65,7 +71,9 @@ Signature SymbolicScheme::sign(NodeId signer, const SignedPayload& payload,
                                std::uint64_t nonce) {
   Signature sig;
   sig.signer = signer;
-  sig.payload_hash = payload.hash();
+  auto [memo, fresh] = digests_.try_emplace(payload.context);
+  if (fresh) memo->second = payload.hash();
+  sig.payload_hash = memo->second;
   sig.nonce = nonce;
   // Tag derived (not secret) — validity comes from the registry, so a
   // fabricated Signature with a correct-looking tag still fails `verify`
@@ -80,48 +88,10 @@ Signature SymbolicScheme::sign(NodeId signer, const SignedPayload& payload,
 
 bool SymbolicScheme::verify(const Signature& sig,
                             const SignedPayload& payload) const {
-  if (sig.payload_hash != payload.hash()) return false;
-  return issued_.contains(sig.key());
-}
-
-// --- AbstractScheme ---------------------------------------------------------
-
-namespace {
-
-/// FNV-1a over the context bytes, finalized with mix64: collision-free in
-/// practice for the handful of distinct payloads a run signs, and ~100x
-/// cheaper than SHA-256. Scheme-local: payload_hash values from this scheme
-/// never mix with SymbolicScheme/HmacScheme digests.
-std::uint64_t cheap_context_hash(const SignedPayload& payload) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : payload.context) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return util::mix64(h);
-}
-
-}  // namespace
-
-Signature AbstractScheme::sign(NodeId signer, const SignedPayload& payload,
-                               std::uint64_t nonce) {
-  Signature sig;
-  sig.signer = signer;
-  sig.payload_hash = cheap_context_hash(payload);
-  sig.nonce = nonce;
-  // Tag derived like SymbolicScheme's: validity comes from the registry.
-  const std::uint64_t t = util::mix64(
-      sig.payload_hash ^ (static_cast<std::uint64_t>(signer) * 0x100000001b3ULL) ^
-      nonce);
-  for (int i = 0; i < 8; ++i)
-    sig.tag[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(t >> (8 * i));
-  issued_.insert(sig.key());
-  return sig;
-}
-
-bool AbstractScheme::verify(const Signature& sig,
-                            const SignedPayload& payload) const {
-  if (sig.payload_hash != cheap_context_hash(payload)) return false;
+  const auto memo = digests_.find(payload.context);
+  const std::uint64_t digest =
+      memo != digests_.end() ? memo->second : payload.hash();
+  if (sig.payload_hash != digest) return false;
   return issued_.contains(sig.key());
 }
 
@@ -180,13 +150,11 @@ bool HmacScheme::verify(const Signature& sig,
 Pki::Pki(std::uint32_t n, Kind kind, std::uint64_t seed) : n_(n) {
   switch (kind) {
     case Kind::kSymbolic:
+    case Kind::kAbstract:
       scheme_ = std::make_unique<SymbolicScheme>();
       break;
     case Kind::kHmac:
       scheme_ = std::make_unique<HmacScheme>(n, seed);
-      break;
-    case Kind::kAbstract:
-      scheme_ = std::make_unique<AbstractScheme>();
       break;
   }
 }

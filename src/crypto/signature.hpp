@@ -11,6 +11,10 @@
 //                     unforgeability assumption grants the adversary.
 //  * SymbolicScheme — a registry of issued signatures; `verify` checks
 //                     membership. Fast path for large benchmark sweeps.
+//                     Pki::Kind::kAbstract is another spelling of it: the
+//                     runner's `abstract` crypto mode is a CSV and key label
+//                     that runs this same scheme, so its results equal
+//                     kSymbolic's by construction.
 //
 // The adversary restriction — a faulty node may only emit an honest
 // signature after some faulty node received it — is enforced by
@@ -64,7 +68,7 @@ struct Signature {
   friend bool operator==(const Signature&, const Signature&) = default;
 };
 
-/// Abstract scheme. Thread-compatibility: single-threaded use only (the
+/// Scheme interface. Thread-compatibility: single-threaded use only (the
 /// simulator is single-threaded by design).
 class SignatureScheme {
  public:
@@ -82,7 +86,10 @@ class SignatureScheme {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Registry-backed symbolic scheme (fast).
+/// Registry-backed symbolic scheme (fast). Each signed context's SHA-256
+/// `payload_hash` is memoized by its exact bytes, so a payload verified many
+/// times is digested once; verify still compares the full hash and then
+/// checks the registry.
 class SymbolicScheme final : public SignatureScheme {
  public:
   [[nodiscard]] Signature sign(NodeId signer, const SignedPayload& payload,
@@ -91,26 +98,13 @@ class SymbolicScheme final : public SignatureScheme {
                             const SignedPayload& payload) const override;
   [[nodiscard]] std::string name() const override { return "symbolic"; }
 
- private:
-  std::unordered_set<std::uint64_t> issued_;
-};
-
-/// Abstract-crypto scheme: the large-n fast path. Same registry
-/// unforgeability semantics as SymbolicScheme, but the payload digest is a
-/// cheap scheme-local 64-bit hash of the context instead of SHA-256 — sign
-/// and verify never hash real bytes. Sign/verify op counts are identical to
-/// the symbolic scheme's; only the digest values differ, and those never
-/// leave the crypto layer (Signature::key() is used for set membership,
-/// never ordering).
-class AbstractScheme final : public SignatureScheme {
- public:
-  [[nodiscard]] Signature sign(NodeId signer, const SignedPayload& payload,
-                               std::uint64_t nonce) override;
-  [[nodiscard]] bool verify(const Signature& sig,
-                            const SignedPayload& payload) const override;
-  [[nodiscard]] std::string name() const override { return "abstract"; }
+  /// Number of distinct contexts signed so far (the digest memo's size).
+  [[nodiscard]] std::size_t memo_size() const noexcept { return digests_.size(); }
 
  private:
+  /// Signed contexts only: verify never inserts, so an unsigned context
+  /// cannot grow the memo.
+  std::unordered_map<std::string, std::uint64_t> digests_;
   std::unordered_set<std::uint64_t> issued_;
 };
 
@@ -137,6 +131,7 @@ class HmacScheme final : public SignatureScheme {
 /// exposes sign/verify, and counts operations for the complexity benches.
 class Pki {
  public:
+  /// kAbstract builds the same SymbolicScheme as kSymbolic.
   enum class Kind { kSymbolic, kHmac, kAbstract };
 
   Pki(std::uint32_t n, Kind kind, std::uint64_t seed);

@@ -52,13 +52,13 @@ enum class TopologyKind {
   kRandomConnected
 };
 
-/// Signature-cost model for a scenario.
-///  * kReal — SHA-256-backed payload hashing (the default, PR-2 behaviour:
-///    crypto::Pki::Kind::kSymbolic).
-///  * kAbstract — unforgeability semantics without hashing bytes
-///    (crypto::Pki::Kind::kAbstract): sign/verify are registry operations
-///    over a cheap context hash. Same op counts and protocol behaviour, far
-///    cheaper per message — the large-n sweep mode.
+/// Crypto label of a scenario.
+///  * kReal — the symbolic registry scheme with SHA-256 payload digests,
+///    memoized per world (the default; crypto::Pki::Kind::kSymbolic).
+///  * kAbstract — a CSV and key() label only: crypto::Pki::Kind::kAbstract
+///    builds the same symbolic registry scheme as kReal, so its results
+///    equal kReal's by construction. Kept so abstract rows keep their
+///    labels, keys, seeds and digests.
 enum class CryptoMode { kReal, kAbstract };
 
 [[nodiscard]] const char* to_string(WorldKind kind);
@@ -173,8 +173,8 @@ struct ScenarioSpec {
   std::size_t warmup = 5;
   /// Slack multiplier forwarded to make_setup's constant solver.
   double slack = 1.0;
-  /// Signature-cost model (real SHA-256 hashing vs abstract registry
-  /// semantics). Behaviour-preserving by construction, so the default stays
+  /// Crypto row label (both modes run the same signature scheme).
+  /// Behaviour-preserving by construction, so the default stays
   /// kReal and only kAbstract folds into key() — existing digests, seeds,
   /// and history files are untouched.
   CryptoMode crypto = CryptoMode::kReal;
