@@ -4,9 +4,14 @@
 // results, sign/verify op counts, and byte-identical CSV rows across every
 // world kind, on 1 thread or 4.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <gtest/gtest.h>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -175,12 +180,13 @@ void expect_runs_identical(const sim::RunResult& a, const sim::RunResult& b) {
   EXPECT_EQ(a.violations.size(), b.violations.size());
 }
 
-/// One complete-world run with everything pinned except the knob under test.
+/// One complete-world run with everything pinned except the knob under test
+/// (random delays, WorldConfig's default).
 sim::RunResult run_complete(baselines::ProtocolKind protocol,
                             crypto::Pki::Kind pki, bool batch,
-                            std::uint32_t f) {
+                            std::uint32_t f, std::uint32_t n = 5) {
   sim::ModelParams model;
-  model.n = 5;
+  model.n = n;
   model.f = f;
   model.d = 1.0;
   model.u = 0.05;
@@ -218,6 +224,23 @@ TEST(FastPathDifferential, CompleteWorldIdenticalAcrossBatchToggle) {
                                      /*batch=*/false, f);
       expect_runs_identical(fast, slow);
     }
+  }
+}
+
+TEST(FastPathDifferential, CompleteWorldIdenticalAcrossBatchToggleAtN31) {
+  // Random delays at n = 31: nearly every receiver is its own delivery
+  // segment, so each honest broadcast walks ~30 segments, interleaved with
+  // the faulty nodes' per-receiver sends and the nested broadcasts the
+  // deliveries trigger.
+  for (const auto protocol :
+       {baselines::ProtocolKind::kCps, baselines::ProtocolKind::kLynchWelch,
+        baselines::ProtocolKind::kSrikanthToueg}) {
+    const auto fast = run_complete(protocol, crypto::Pki::Kind::kSymbolic,
+                                   /*batch=*/true, /*f=*/10, /*n=*/31);
+    const auto slow = run_complete(protocol, crypto::Pki::Kind::kSymbolic,
+                                   /*batch=*/false, /*f=*/10, /*n=*/31);
+    expect_runs_identical(fast, slow);
+    EXPECT_GT(fast.messages, 0u);
   }
 }
 
@@ -305,28 +328,75 @@ TEST(FastPathDifferential, RelayWorldIdenticalAbstractVsRealCrypto) {
 
 // --- Network-level delivery-order property -------------------------------
 
-struct NetFixture {
-  sim::Engine engine;
-  std::vector<NodeId> order;
-  std::unique_ptr<sim::Network> net;
+using PolicyFactory = std::function<std::unique_ptr<sim::DelayPolicy>()>;
 
-  NetFixture(sim::DelayKind kind, bool batch) {
-    sim::ModelParams m;
-    m.n = 6;
-    m.f = 0;
-    m.d = 1.0;
-    m.u = 0.2;
-    m.u_tilde = 0.2;
-    m.vartheta = 1.01;
-    net = std::make_unique<sim::Network>(
-        engine, m, std::vector<bool>(6, false),
-        sim::make_delay_policy(kind, 6), util::Rng(7),
-        sim::Enforcement::kThrow);
-    net->set_batch(batch);
-    net->set_deliver(
-        [this](NodeId to, const sim::Message&) { order.push_back(to); });
+struct Delivery {
+  NodeId to;
+  NodeId from;
+  double at;
+  friend bool operator==(const Delivery&, const Delivery&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Delivery& d) {
+    return os << d.from << "->" << d.to << "@" << d.at;
   }
 };
+
+struct NetFixture {
+  sim::Engine engine;
+  std::vector<Delivery> order;
+  std::unique_ptr<sim::Network> net;
+  /// When set, every receiver of a broadcast from node 0 re-broadcasts from
+  /// inside the delivery, so nested broadcasts interleave with the walk.
+  bool echo = false;
+
+  NetFixture(std::uint32_t n, std::unique_ptr<sim::DelayPolicy> policy,
+             bool batch, std::vector<bool> faulty = {}) {
+    sim::ModelParams m;
+    m.n = n;
+    if (faulty.empty()) faulty.assign(n, false);
+    m.f = static_cast<std::uint32_t>(
+        std::count(faulty.begin(), faulty.end(), true));
+    m.d = 1.0;
+    m.u = 0.2;
+    m.u_tilde = 0.3;
+    m.vartheta = 1.01;
+    net = std::make_unique<sim::Network>(engine, m, std::move(faulty),
+                                         std::move(policy), util::Rng(7),
+                                         sim::Enforcement::kThrow);
+    net->set_batch(batch);
+    net->set_deliver([this](NodeId to, const sim::Message& msg) {
+      order.push_back(Delivery{to, msg.sender, engine.now()});
+      if (echo && msg.sender == 0) net->broadcast(to, sim::Message{});
+    });
+  }
+
+  NetFixture(sim::DelayKind kind, bool batch)
+      : NetFixture(6, sim::make_delay_policy(kind, 6), batch) {}
+};
+
+/// Runs the same broadcasts with the batch toggle on and off and expects the
+/// very same (receiver, sender, time) sequence, logical event count and
+/// message count. Returns the reference path's deliveries.
+std::vector<Delivery> expect_same_delivery_order(
+    std::uint32_t n, const PolicyFactory& policy,
+    const std::vector<NodeId>& senders, const std::string& label,
+    double start = 0.0, bool echo = false) {
+  std::vector<bool> faulty(n, false);
+  faulty[n - 1] = true;  // one faulty endpoint: wider lower delay bound
+  NetFixture fast(n, policy(), /*batch=*/true, faulty);
+  NetFixture slow(n, policy(), /*batch=*/false, faulty);
+  for (auto* fx : {&fast, &slow}) {
+    fx->echo = echo;
+    fx->engine.run_until(start);
+    for (const NodeId s : senders) fx->net->broadcast(s, sim::Message{});
+    fx->engine.run_until(start + 3.0);
+  }
+  EXPECT_EQ(fast.order, slow.order) << label;
+  EXPECT_EQ(fast.engine.events_processed(), slow.engine.events_processed())
+      << label;
+  EXPECT_EQ(fast.net->stats().messages, slow.net->stats().messages) << label;
+  EXPECT_EQ(fast.order.size(), slow.net->stats().messages) << label;
+  return slow.order;
+}
 
 TEST(FastPathDifferential, BatchedBroadcastPreservesDeliveryOrder) {
   // Two broadcasts scheduled back-to-back: the batched path must deliver in
@@ -348,6 +418,47 @@ TEST(FastPathDifferential, BatchedBroadcastPreservesDeliveryOrder) {
     EXPECT_EQ(fast.net->stats().messages, slow.net->stats().messages)
         << sim::to_string(kind);
   }
+
+  // n = 31, three senders broadcasting at the same instant, with and without
+  // every receiver echoing from inside its delivery.
+  constexpr std::uint32_t kN = 31;
+  const std::vector<NodeId> three = {0, 1, 2};
+  for (const bool echo : {false, true}) {
+    for (const auto kind : {sim::DelayKind::kRandom, sim::DelayKind::kSplit,
+                            sim::DelayKind::kMax, sim::DelayKind::kMin}) {
+      expect_same_delivery_order(
+          kN, [kind] { return sim::make_delay_policy(kind, kN); }, three,
+          std::string(sim::to_string(kind)) + (echo ? " echo" : ""), 0.0,
+          echo);
+    }
+    // Custom policies: equal delays on non-consecutive receivers, so one
+    // broadcast has several segments due at the same time.
+    const std::vector<std::pair<std::string, PolicyFactory>> custom = {
+        {"custom:target",
+         [] { return std::make_unique<sim::TargetedDelayPolicy>(5); }},
+        {"custom:alternate",
+         [] { return std::make_unique<sim::AlternatingDelayPolicy>(); }},
+        {"custom:fixed",
+         [] { return std::make_unique<sim::FixedFractionDelayPolicy>(0.25); }},
+    };
+    for (const auto& [name, factory] : custom)
+      expect_same_delivery_order(kN, factory, three,
+                                 name + (echo ? " echo" : ""), 0.0, echo);
+  }
+
+  // At now = 2^45 one ulp is 2^-7, so distinct random delays in [0.8, 1]
+  // collapse onto ~26 absolute times: segments with different delays fall
+  // due at the same instant and must still fire in receiver order.
+  const double late = std::ldexp(1.0, 45);
+  const auto deliveries = expect_same_delivery_order(
+      kN, [] { return sim::make_delay_policy(sim::DelayKind::kRandom, kN); },
+      three, "random at 2^45", late);
+  std::vector<double> times;
+  for (const auto& d : deliveries)
+    if (d.from == 0) times.push_back(d.at);
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  EXPECT_LT(times.size(), kN - 1) << "no two delays rounded together";
 }
 
 TEST(FastPathDifferential, BatchedBroadcastSharesOneArenaPayload) {
