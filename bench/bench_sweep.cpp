@@ -17,7 +17,9 @@
 // cell measured as events/sec through three configurations (per-receiver
 // reference; batched delivery; batched delivery on an abstract-crypto row,
 // which runs the same signature scheme and so times like the batched row),
-// then one 2^20-node hypercube flood-probe cell under a wall budget. With
+// the reference and batched rows again under random delays (one delivery
+// segment per receiver, all walked by one queue entry per broadcast), then
+// one 2^20-node hypercube flood-probe cell under a wall budget. With
 // --json the E14 numbers are written as a BENCH_*.json artifact; with
 // --history/--gate-trend the dimensionless cost ratio (fast seconds /
 // reference seconds) rides the runner's skew-ratio history machinery so CI
@@ -45,6 +47,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -96,6 +99,9 @@ struct E14Summary {
   double fast_events_per_sec = 0.0;  ///< batched, abstract-crypto row
   double speedup = 0.0;              ///< fast vs reference
   double cost_ratio = 1.0;           ///< fast seconds / reference seconds
+  double random_reference_events_per_sec = 0.0;  ///< random-delay rows
+  double random_batched_events_per_sec = 0.0;
+  double random_speedup = 0.0;  ///< random batched vs random reference
   double large_n_seconds = 0.0;
   double large_n_events_per_sec = 0.0;
   std::uint64_t large_n_nodes = 0;
@@ -141,6 +147,11 @@ void write_json(const std::string& path, const E14Summary& s,
       << "    \"fast_events_per_sec\": " << s.fast_events_per_sec << ",\n"
       << "    \"speedup\": " << s.speedup << ",\n"
       << "    \"cost_ratio\": " << s.cost_ratio << ",\n"
+      << "    \"random_reference_events_per_sec\": "
+      << s.random_reference_events_per_sec << ",\n"
+      << "    \"random_batched_events_per_sec\": "
+      << s.random_batched_events_per_sec << ",\n"
+      << "    \"random_speedup\": " << s.random_speedup << ",\n"
       << "    \"large_n_nodes\": " << s.large_n_nodes << ",\n"
       << "    \"large_n_seconds\": " << s.large_n_seconds << ",\n"
       << "    \"large_n_events_per_sec\": " << s.large_n_events_per_sec
@@ -361,9 +372,9 @@ int run_bench(const std::optional<std::string>& json_path,
   bench::print(cache_table);
 
   // E14: engine fast-path throughput. Broadcast-heavy complete-world cell:
-  // CPS at n=192, fault-free, split delays — every broadcast coalesces into
-  // two aggregate events on the fast path versus 191 per-receiver events on
-  // the reference path. The abstract-crypto row runs the same signature
+  // CPS at n=192, fault-free, split delays — every broadcast is two delivery
+  // segments on one queue entry on the fast path versus 191 per-receiver
+  // events on the reference path. The abstract-crypto row runs the same signature
   // scheme as real crypto (payload digests are memoized either way), so it
   // repeats the batched measurement under the `abstract` label. Same seeds,
   // byte-identical results; only wall clock may differ.
@@ -415,6 +426,43 @@ int run_bench(const std::optional<std::string>& json_path,
   fp_row("batched delivery", batched);
   fp_row("batched delivery, abstract label", fast);
   bench::print(fp_table);
+
+  // The same cell under random delays: nearly every receiver is its own
+  // delivery segment, so the fast path saves queue entries, not pops, and
+  // the reference queue holds ~n^3 entries. Two rounds (one warmup) keep
+  // the pair to ~30 s on a 4-core x86 host. Reported only; the grid digest
+  // and the gated cost ratio stay on the split-delay rows above.
+  auto random_spec = fp_spec;
+  random_spec.delay = sim::DelayKind::kRandom;
+  random_spec.rounds = 2;
+  random_spec.warmup = 1;
+  const auto random_reference = timed_scenario(random_spec, reference_options);
+  const auto random_batched = timed_scenario(random_spec, {});
+  summary.random_reference_events_per_sec = random_reference.events_per_sec();
+  summary.random_batched_events_per_sec = random_batched.events_per_sec();
+  summary.random_speedup =
+      random_batched.events_per_sec() /
+      std::max(random_reference.events_per_sec(), 1e-9);
+
+  util::Table random_table(
+      "E14r: engine fast path — the same cell under random delays, 2 "
+      "rounds (identical results, wall clock only)");
+  random_table.set_header(
+      {"configuration", "events", "seconds", "events/sec", "speedup"});
+  for (const auto& [label, run] :
+       {std::pair<const char*, const TimedRun*>{"per-receiver reference",
+                                                &random_reference},
+        {"batched delivery", &random_batched}}) {
+    random_table.add_row(
+        {label, std::to_string(run->result.events),
+         util::Table::num(run->seconds, 3),
+         util::Table::num(run->events_per_sec(), 0),
+         util::Table::num(run->events_per_sec() /
+                              std::max(random_reference.events_per_sec(), 1e-9),
+                          2) +
+             "x"});
+  }
+  bench::print(random_table);
 
   // E15: the dynamic-network world's price tag. The same flood-probe
   // hypercube cell at rising churn rates — churn 0 is the static engine

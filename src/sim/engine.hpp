@@ -2,6 +2,7 @@
 // The simulation engine: owns the event queue and the notion of "now".
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -58,6 +59,11 @@ class Engine {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Re-arm the running event at absolute time `t` under its original FIFO
+  /// place (EventQueue::repeat_at): only from inside an event callback, at
+  /// most once per run, with `t` no earlier than now().
+  void repeat_at(double t) { queue_.repeat_at(t); }
+
   /// Run until the queue is empty or the next event is beyond `horizon`.
   void run_until(double horizon);
 
@@ -73,6 +79,11 @@ class Engine {
   /// call this with k-1 so events_processed() reports the same logical
   /// count the unbatched path would.
   void credit_events(std::uint64_t k) noexcept { processed_ += k; }
+
+  /// Most queue entries ever held at once (EventQueue::high_water).
+  [[nodiscard]] std::size_t queue_high_water() const noexcept {
+    return queue_.high_water();
+  }
 
  private:
   EventQueue queue_;

@@ -16,6 +16,12 @@ EventId EventQueue::schedule(double t, EventFn fn) {
   CS_CHECK_MSG(std::isfinite(t),
                "event time must be finite (NaN/inf would corrupt the "
                "queue's strict weak ordering)");
+  const EventId id = push(t, scheduled_, std::move(fn));
+  ++scheduled_;
+  return id;
+}
+
+EventId EventQueue::push(double t, std::uint64_t seq, EventFn fn) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -29,8 +35,9 @@ EventId EventQueue::schedule(double t, EventFn fn) {
   slots_[slot].fn = std::move(fn);
   const EventId id =
       (static_cast<EventId>(slots_[slot].gen) << 32) | static_cast<EventId>(slot);
-  heap_.push_back(Entry{t, scheduled_++, id});
+  heap_.push_back(Entry{t, seq, id});
   std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
+  high_water_ = std::max(high_water_, heap_.size());
   ++live_;
   return id;
 }
@@ -92,8 +99,29 @@ double EventQueue::pop_and_run() {
   EventFn fn = std::move(slots_[slot_of(top.id)].fn);
   retire(slot_of(top.id));
   CS_CHECK_MSG(fn, "popped a cancelled event");
-  fn();
+  Run finished;
+  {
+    // Restores the enclosing run's state on every exit, throws included.
+    struct Scope {
+      Run& current;
+      Run saved;
+      ~Scope() { current = saved; }
+    } scope{run_, std::exchange(run_, Run{true, false, top.t, 0.0})};
+    fn();
+    finished = run_;
+  }
+  if (finished.repeat) push(finished.repeat_t, top.seq, std::move(fn));
   return top.t;
+}
+
+void EventQueue::repeat_at(double t) {
+  CS_CHECK_MSG(run_.active, "repeat_at outside a running event");
+  CS_CHECK_MSG(!run_.repeat, "repeat_at called twice in one run");
+  CS_CHECK_MSG(std::isfinite(t) && t >= run_.t,
+               "repeat_at(" << t << ") must be finite and not before the "
+                               "running event's time " << run_.t);
+  run_.repeat = true;
+  run_.repeat_t = t;
 }
 
 }  // namespace crusader::sim

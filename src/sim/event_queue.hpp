@@ -8,6 +8,13 @@
 // generation-tagged: an id names (slot, generation), and cancelling or firing
 // an event bumps the slot's generation, which invalidates stale ids in O(1)
 // without any auxiliary set.
+//
+// A running callback may re-arm itself with repeat_at(t): after it returns,
+// the same callback goes back into the queue at `t` under its original
+// sequence number. A batched broadcast uses this to walk its delivery
+// segments in (time, position) order from one queue entry; keeping the
+// first sequence number of what used to be a contiguous block of schedules
+// keeps every comparison with other events, so the pop order is unchanged.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,7 +47,16 @@ class EventQueue {
   [[nodiscard]] double next_time() const;
 
   /// Pops and runs the earliest event; returns its time. Requires !empty().
+  /// If the callback called repeat_at(t), it is re-inserted at `t` once it
+  /// returns; a callback that throws is dropped and the queue stays usable.
   double pop_and_run();
+
+  /// Re-arm the running event at `t`, keeping its original sequence number
+  /// (its FIFO place among equal-time events). Only callable from inside a
+  /// running callback, at most once per run, with `t` finite and no earlier
+  /// than the event's own time. The re-armed event gets a fresh id: the id
+  /// schedule() returned is stale after the first run, like any fired id.
+  void repeat_at(double t);
 
   /// Lifetime count of successful schedule() calls (monotone; NOT an id —
   /// ids are generation-tagged slot handles and are reused).
@@ -57,6 +73,9 @@ class EventQueue {
   }
   /// Heap entries currently held, including not-yet-dropped cancelled ones.
   [[nodiscard]] std::size_t heap_size() const noexcept { return heap_.size(); }
+  /// Largest heap_size() ever reached (deterministic: a function of the
+  /// schedule/cancel/pop sequence only).
+  [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
 
  private:
   struct Slot {
@@ -84,6 +103,17 @@ class EventQueue {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
+  /// State of the callback pop_and_run is running (saved and restored
+  /// around each run, so nested runs and throwing callbacks are safe).
+  struct Run {
+    bool active = false;
+    bool repeat = false;  // repeat_at() was called during this run
+    double t = 0.0;       // the running event's time
+    double repeat_t = 0.0;
+  };
+
+  /// Store `fn` in a free slot and push its heap entry.
+  EventId push(double t, std::uint64_t seq, EventFn fn);
   [[nodiscard]] bool stale(const Entry& e) const noexcept {
     return slots_[slot_of(e.id)].gen != gen_of(e.id);
   }
@@ -102,6 +132,8 @@ class EventQueue {
   std::uint64_t scheduled_ = 0;  // lifetime schedules; doubles as seq source
   std::size_t live_ = 0;
   mutable std::size_t stale_in_heap_ = 0;
+  std::size_t high_water_ = 0;
+  Run run_;
 };
 
 }  // namespace crusader::sim

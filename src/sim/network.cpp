@@ -55,6 +55,12 @@ double Network::min_delay(NodeId from, NodeId to) const {
   return model_.d - (faulty_endpoint ? model_.u_tilde : model_.u);
 }
 
+void Network::check_endpoints(NodeId from, NodeId to) const {
+  CS_CHECK_MSG(from < model_.n, "sender " << from << " out of range");
+  CS_CHECK_MSG(to < model_.n, "recipient " << to << " out of range");
+  CS_CHECK_MSG(from != to, "self-sends are modeled as local computation");
+}
+
 void Network::flag(const std::string& what) {
   if (enforcement_ == Enforcement::kThrow) throw util::ModelViolation(what);
   violations_.push_back(what);
@@ -97,8 +103,6 @@ void Network::deliver_one(NodeId to, const Message& m) {
 }
 
 void Network::enqueue(NodeId from, NodeId to, Message m, double delay) {
-  CS_CHECK_MSG(to < model_.n, "recipient " << to << " out of range");
-  CS_CHECK_MSG(from != to, "self-sends are modeled as local computation");
   m.sender = from;
   count_message(m);
 
@@ -123,13 +127,15 @@ double Network::choose_delay(NodeId from, NodeId to, const Message& m) {
 }
 
 void Network::send(NodeId from, NodeId to, Message m) {
+  check_endpoints(from, to);
   check_adversary_knowledge(from, m);
   const double delay = choose_delay(from, to, m);
   enqueue(from, to, std::move(m), delay);
 }
 
 void Network::broadcast(NodeId from, const Message& m) {
-  if (!batch_ || faulty_.at(from)) {
+  CS_CHECK_MSG(from < model_.n, "sender " << from << " out of range");
+  if (!batch_ || faulty_[from]) {
     // Reference path: per-receiver sends. Faulty senders stay here even
     // with batching on, because check_adversary_knowledge records one
     // violation per receiver.
@@ -137,55 +143,83 @@ void Network::broadcast(NodeId from, const Message& m) {
       if (to != from) send(from, to, m);
     return;
   }
-  CS_CHECK_MSG(from < model_.n, "sender " << from << " out of range");
+
+  if (free_walks_.empty()) {
+    walks_.push_back(std::make_unique<Walk>());
+    free_walks_.push_back(walks_.back().get());
+  }
+  Walk* walk = free_walks_.back();
+  free_walks_.pop_back();
 
   // One shared payload for the whole broadcast; receivers only read it.
   Message stamped = m;
   stamped.sender = from;
-  const MessageArena::Ref ref = arena_.acquire(stamped);
+  walk->ref = arena_.acquire(stamped);
 
   // Group maximal runs of consecutive receivers with exactly-equal delay
-  // into one aggregate event each. Delivery order is identical to the
-  // per-receiver path: within a run receivers fire in id order, and runs at
-  // equal times fire in scheduling (= id) order by the queue's FIFO
-  // tie-break. The aggregate credits the engine so events_processed()
-  // reports per-receiver logical events.
+  // into segments. Due times clamp to now() exactly like Engine::at.
+  const double now = engine_.now();
+  std::vector<Segment>& segments = walk->segments;
   double run_delay = 0.0;
-  NodeId run_begin = 0;
-  NodeId run_end = 0;
-  std::uint32_t run_count = 0;
-  auto flush = [&] {
-    if (run_count == 0) return;
-    engine_.at(engine_.now() + run_delay,
-               [this, a = run_begin, b = run_end, k = run_count, ref] {
-                 engine_.credit_events(k - 1);
-                 const NodeId skip = ref->sender;
-                 for (NodeId to = a; to <= b; ++to) {
-                   if (to == skip) continue;
-                   deliver_one(to, *ref);
-                 }
-               });
-  };
   for (NodeId to = 0; to < model_.n; ++to) {
     if (to == from) continue;
     count_message(stamped);
     // Policies see the caller's message, exactly like send() (the sender
     // stamp happens on the payload copy, after delay selection).
     const double delay = choose_delay(from, to, m);
-    if (run_count > 0 && delay == run_delay) {
-      run_end = to;
-      ++run_count;
+    if (!segments.empty() && delay == run_delay) {
+      segments.back().last = to;
+      ++segments.back().count;
     } else {
-      flush();
       run_delay = delay;
-      run_begin = run_end = to;
-      run_count = 1;
+      segments.push_back(Segment{std::max(now + delay, now), to, to, 1});
     }
   }
-  flush();
+  if (segments.empty()) {  // n == 1: nobody to deliver to
+    walk->ref = {};
+    free_walks_.push_back(walk);
+    return;
+  }
+
+  // The per-receiver path fires equal-time deliveries in receiver order, so
+  // walk the segments by (t, position): a stable in-place insertion sort on
+  // t (std::stable_sort would allocate a buffer per broadcast). Two
+  // distinct delays may round to the same t.
+  for (std::size_t i = 1; i < segments.size(); ++i) {
+    const Segment s = segments[i];
+    std::size_t j = i;
+    for (; j > 0 && segments[j - 1].t > s.t; --j) segments[j] = segments[j - 1];
+    segments[j] = s;
+  }
+
+  // One queue entry for the whole broadcast. Re-arming keeps the entry's
+  // sequence number, so against every other event it sorts exactly where
+  // the per-segment events of the reference path would.
+  walk->next = 0;
+  engine_.at(segments.front().t, [this, walk] { deliver_segment(*walk); });
+}
+
+void Network::deliver_segment(Walk& walk) {
+  const Segment& seg = walk.segments[walk.next];
+  // Credit the engine so events_processed() reports per-receiver logical
+  // events.
+  engine_.credit_events(seg.count - 1);
+  const NodeId skip = walk.ref->sender;
+  for (NodeId to = seg.first; to <= seg.last; ++to) {
+    if (to == skip) continue;
+    deliver_one(to, *walk.ref);
+  }
+  if (++walk.next < walk.segments.size()) {
+    engine_.repeat_at(walk.segments[walk.next].t);
+    return;
+  }
+  walk.ref = {};
+  walk.segments.clear();
+  free_walks_.push_back(&walk);
 }
 
 void Network::send_with_delay(NodeId from, NodeId to, Message m, double delay) {
+  check_endpoints(from, to);
   CS_CHECK_MSG(faulty_.at(from), "send_with_delay is a Byzantine capability");
   check_adversary_knowledge(from, m);
   const double lo = min_delay(from, to);

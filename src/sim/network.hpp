@@ -8,6 +8,7 @@
 // signature after some faulty node has received it.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -162,11 +163,13 @@ class Network {
 
   /// Send `m` to every node except `from`. With batching enabled (the
   /// default) an honest sender's broadcast shares one arena payload and
-  /// schedules one aggregate event per maximal run of consecutive receivers
-  /// with equal delay — O(runs) events instead of O(n) — while remaining
-  /// delivery-order- and stats-identical to the per-receiver loop. Faulty
-  /// senders always take the per-receiver path (their Dolev–Yao knowledge
-  /// check records per receiver).
+  /// holds one queue entry however many delivery segments it has: a
+  /// segment is a maximal run of consecutive receivers with equal delay,
+  /// and the entry walks the segments in (time, position) order, re-arming
+  /// itself at each next segment's time. It remains delivery-order- and
+  /// stats-identical to the per-receiver loop. Faulty senders always take
+  /// the per-receiver path (their Dolev–Yao knowledge check records per
+  /// receiver).
   void broadcast(NodeId from, const Message& m);
 
   /// Byzantine send with an explicit delay; must lie within the faulty-link
@@ -194,6 +197,27 @@ class Network {
   [[nodiscard]] double min_delay(NodeId from, NodeId to) const;
 
  private:
+  /// One batched-broadcast delivery segment: receivers [first, last] minus
+  /// the sender, all due at absolute time `t`.
+  struct Segment {
+    double t;
+    NodeId first;
+    NodeId last;
+    std::uint32_t count;
+  };
+  /// A batched broadcast in flight: its payload and segments, walked by one
+  /// queue entry. Pooled, so steady-state broadcasts allocate nothing.
+  struct Walk {
+    MessageArena::Ref ref;
+    std::vector<Segment> segments;
+    std::size_t next = 0;
+  };
+
+  /// Range-check both endpoints before anything indexes by them.
+  void check_endpoints(NodeId from, NodeId to) const;
+  /// Deliver the walk's next segment, then re-arm at the one after it or
+  /// return the walk to the pool.
+  void deliver_segment(Walk& walk);
   void check_adversary_knowledge(NodeId from, const Message& m);
   void enqueue(NodeId from, NodeId to, Message m, double delay);
   /// Stats/knowledge/delivery for one receiver — shared by the per-message
@@ -214,6 +238,8 @@ class Network {
   MessageArena arena_;
   NetworkStats stats_;
   std::vector<std::string> violations_;
+  std::vector<std::unique_ptr<Walk>> walks_;  // owns every Walk ever made
+  std::vector<Walk*> free_walks_;
   bool batch_ = true;
 };
 

@@ -46,10 +46,10 @@ SweepGrid differential_grid() {
       baselines::ProtocolKind::kFloodProbe};
   grid.ns = {4, 8};
   grid.fault_loads = {0, SweepGrid::kMaxResilience};
-  // kMax: every delay equal → one aggregate per broadcast (maximal
-  // batching). kSplit: exactly two runs. kRandom: per-receiver runs (the
-  // fast path degenerates to the slow path, but must burn the same RNG
-  // stream).
+  // kMax: every delay equal → one segment per broadcast (maximal
+  // batching). kSplit: exactly two segments. kRandom: one segment per
+  // receiver, walked in time order from one queue entry per honest
+  // broadcast (and it must burn the same RNG stream).
   grid.delays = {sim::DelayKind::kMax, sim::DelayKind::kRandom,
                  sim::DelayKind::kSplit};
   grid.topologies = {TopologyKind::kHypercube};
@@ -349,7 +349,8 @@ struct NetFixture {
   bool echo = false;
 
   NetFixture(std::uint32_t n, std::unique_ptr<sim::DelayPolicy> policy,
-             bool batch, std::vector<bool> faulty = {}) {
+             bool batch, std::vector<bool> faulty = {},
+             double u_tilde = 0.3) {
     sim::ModelParams m;
     m.n = n;
     if (faulty.empty()) faulty.assign(n, false);
@@ -357,7 +358,7 @@ struct NetFixture {
         std::count(faulty.begin(), faulty.end(), true));
     m.d = 1.0;
     m.u = 0.2;
-    m.u_tilde = 0.3;
+    m.u_tilde = u_tilde;
     m.vartheta = 1.01;
     net = std::make_unique<sim::Network>(engine, m, std::move(faulty),
                                          std::move(policy), util::Rng(7),
@@ -459,6 +460,66 @@ TEST(FastPathDifferential, BatchedBroadcastPreservesDeliveryOrder) {
   std::sort(times.begin(), times.end());
   times.erase(std::unique(times.begin(), times.end()), times.end());
   EXPECT_LT(times.size(), kN - 1) << "no two delays rounded together";
+}
+
+/// Per-receiver delays from a fixed table.
+class TableDelayPolicy final : public sim::DelayPolicy {
+ public:
+  explicit TableDelayPolicy(std::vector<double> delays)
+      : delays_(std::move(delays)) {}
+  double delay(NodeId, NodeId to, double, const sim::Message&, double,
+               double, util::Rng&) override {
+    return delays_.at(to);
+  }
+  [[nodiscard]] std::string name() const override { return "table"; }
+
+ private:
+  std::vector<double> delays_;
+};
+
+TEST(FastPathDifferential, BatchedBroadcastClampsDueTimesLikeEngineAt) {
+  // With u_tilde = d a faulty receiver's lower bound is 0, and a delay just
+  // below it is within tolerance, so it is neither flagged nor clamped by
+  // the network. Engine::at clamps the due time to now(), where the
+  // per-receiver path fires receivers 2 and 3 in id order; the segment walk
+  // must clamp before ordering by time, or it would deliver 3 first.
+  const std::vector<double> delays = {0.0, 0.95, 0.0, -5e-10};
+  const std::vector<bool> faulty = {false, false, true, true};
+  NetFixture fast(4, std::make_unique<TableDelayPolicy>(delays),
+                  /*batch=*/true, faulty, /*u_tilde=*/1.0);
+  NetFixture slow(4, std::make_unique<TableDelayPolicy>(delays),
+                  /*batch=*/false, faulty, /*u_tilde=*/1.0);
+  for (auto* fx : {&fast, &slow}) {
+    fx->engine.run_until(1.0);
+    fx->net->broadcast(0, sim::Message{});
+    fx->engine.run_until(3.0);
+  }
+  EXPECT_EQ(fast.order, slow.order);
+  ASSERT_EQ(slow.order.size(), 3u);
+  EXPECT_EQ(slow.order[0], (Delivery{2, 0, 1.0}));
+  EXPECT_EQ(slow.order[1], (Delivery{3, 0, 1.0}));
+  EXPECT_TRUE(fast.net->violations().empty());
+}
+
+TEST(FastPathDifferential, BatchedBroadcastHoldsOneQueueEntry) {
+  // k honest broadcasts in flight hold exactly k queue entries however many
+  // delivery segments they have; the reference path holds one per receiver.
+  constexpr std::uint32_t kN = 31;
+  for (const auto kind : {sim::DelayKind::kMax, sim::DelayKind::kMin,
+                          sim::DelayKind::kRandom, sim::DelayKind::kSplit}) {
+    for (const std::size_t k : {1u, 3u}) {
+      NetFixture fast(kN, sim::make_delay_policy(kind, kN), /*batch=*/true);
+      NetFixture slow(kN, sim::make_delay_policy(kind, kN), /*batch=*/false);
+      for (auto* fx : {&fast, &slow}) {
+        for (NodeId s = 0; s < k; ++s) fx->net->broadcast(s, sim::Message{});
+        fx->engine.run_until(2.0);
+      }
+      EXPECT_EQ(fast.engine.queue_high_water(), k) << sim::to_string(kind);
+      EXPECT_EQ(slow.engine.queue_high_water(), k * (kN - 1))
+          << sim::to_string(kind);
+      EXPECT_EQ(fast.order, slow.order) << sim::to_string(kind);
+    }
+  }
 }
 
 TEST(FastPathDifferential, BatchedBroadcastSharesOneArenaPayload) {

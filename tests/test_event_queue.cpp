@@ -6,6 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -177,6 +180,147 @@ TEST(EventQueue, NonFiniteTimeRejected) {
   EXPECT_EQ(q.pending(), 0u);
   EXPECT_EQ(q.scheduled_count(), 0u);
   EXPECT_EQ(q.slab_capacity(), 0u);
+}
+
+TEST(EventQueue, RepeatKeepsOriginalFifoPlace) {
+  // The repeated event keeps its first sequence number: at t = 2 it fires
+  // after the equal-time event scheduled before it and ahead of the ones
+  // scheduled after it, including one scheduled from its own callback.
+  EventQueue q;
+  std::vector<std::string> order;
+  q.schedule(2.0, [&] { order.push_back("before"); });
+  int runs = 0;
+  q.schedule(1.0, [&] {
+    order.push_back("repeat@" + std::to_string(runs++));
+    if (runs == 1) {
+      q.schedule(2.0, [&] { order.push_back("inner"); });
+      q.repeat_at(2.0);
+    }
+  });
+  q.schedule(2.0, [&] { order.push_back("after"); });
+  std::vector<double> times;
+  while (!q.empty()) times.push_back(q.pop_and_run());
+  EXPECT_EQ(order, (std::vector<std::string>{"repeat@0", "before", "repeat@1",
+                                             "after", "inner"}));
+  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 2.0, 2.0, 2.0}));
+  EXPECT_EQ(q.scheduled_count(), 4u);  // a repeat is not a schedule()
+}
+
+TEST(EventQueue, RepeatWalksLaterTimesThenRetires) {
+  EventQueue q;
+  const std::vector<double> due = {1.0, 1.0, 1.5, 4.0};
+  std::size_t next = 0;
+  std::vector<double> fired;
+  const EventId id = q.schedule(due[0], [&] {
+    fired.push_back(due[next]);
+    if (++next < due.size()) q.repeat_at(due[next]);
+  });
+  while (!q.empty()) {
+    const double t = q.pop_and_run();
+    EXPECT_EQ(t, fired.back());
+  }
+  EXPECT_EQ(fired, due);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.high_water(), 1u);
+  EXPECT_FALSE(q.cancel(id));  // the first id went stale at the first run
+}
+
+TEST(EventQueue, RepeatMisuseRejected) {
+  EventQueue q;
+  // Outside any callback.
+  EXPECT_THROW(q.repeat_at(1.0), util::CheckFailure);
+  // Twice in one callback.
+  q.schedule(1.0, [&] {
+    q.repeat_at(2.0);
+    q.repeat_at(3.0);
+  });
+  EXPECT_THROW(q.pop_and_run(), util::CheckFailure);
+  // Into the past, or to a non-finite time.
+  for (const double t : {0.5, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    q.schedule(1.0, [&q, t] { q.repeat_at(t); });
+    EXPECT_THROW(q.pop_and_run(), util::CheckFailure) << t;
+  }
+  // Each failed run dropped its event; nothing is left half-run.
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_THROW(q.repeat_at(1.0), util::CheckFailure);
+}
+
+TEST(EventQueue, ThrowingCallbackLeavesQueueUsable) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(1.0, [&] {
+    q.repeat_at(2.0);  // requested, but the throw drops the event
+    throw std::runtime_error("handler failed");
+  });
+  q.schedule(2.0, [&] { order.push_back(2); });
+  EXPECT_THROW(q.pop_and_run(), std::runtime_error);
+  // The running state was reset: repeat_at is rejected outside a callback,
+  // and later callbacks may repeat again.
+  EXPECT_THROW(q.repeat_at(3.0), util::CheckFailure);
+  EXPECT_EQ(q.pending(), 1u);
+  bool repeated = false;
+  q.schedule(2.0, [&] {
+    order.push_back(repeated ? 4 : 3);
+    if (!repeated) {
+      repeated = true;
+      q.repeat_at(4.0);
+    }
+  });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+TEST(EventQueue, NestedRunRestoresOuterRepeatState) {
+  // A callback that drives the queue itself (like a nested Engine::step)
+  // must get its own repeat state back once the inner run returns.
+  EventQueue q;
+  std::vector<std::string> order;
+  q.schedule(1.0, [&] { order.push_back("inner"); });
+  bool outer_done = false;
+  q.schedule(1.0, [&] {
+    if (outer_done) {
+      order.push_back("outer again");
+      return;
+    }
+    q.schedule(1.5, [&, first = true]() mutable {
+      order.push_back("nested");
+      if (std::exchange(first, false)) q.repeat_at(1.75);
+    });
+    q.pop_and_run();  // runs "nested", which re-arms itself at 1.75
+    outer_done = true;
+    q.repeat_at(1.5);  // the outer run may still repeat once
+  });
+  q.pop_and_run();  // "inner"
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<std::string>{"inner", "nested", "outer again",
+                                             "nested"}));
+}
+
+TEST(EventQueue, RepeatChurnKeepsSlabBounded) {
+  // 64 self-repeating events plus one-shot traffic, a million runs in all:
+  // repeats recycle slots, so storage stays O(pending).
+  EventQueue q;
+  util::Rng rng(99);
+  double now = 0.0;
+  std::uint64_t runs = 0;
+  std::size_t high_water = 0;
+  for (int i = 0; i < 64; ++i) {
+    q.schedule(rng.uniform(0.0, 1.0), [&] {
+      ++runs;
+      if (rng.chance(0.5)) q.schedule(now + 1.0, [] {});
+      if (runs < 1'000'000) q.repeat_at(now + rng.uniform(0.0, 1.0));
+    });
+  }
+  while (!q.empty()) {
+    high_water = std::max(high_water, q.pending());
+    now = q.next_time();
+    q.pop_and_run();
+  }
+  EXPECT_GE(runs, 1'000'000u);
+  EXPECT_LE(q.slab_capacity(), high_water + 8);
+  EXPECT_EQ(q.high_water(), q.slab_capacity());
 }
 
 // The memory-leak regression: a million schedule/cancel/pop cycles with at

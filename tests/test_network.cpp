@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <gtest/gtest.h>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,6 +96,46 @@ TEST(Network, SelfSendRejected) {
   Fixture fx;
   auto net = fx.make(DelayKind::kMax);
   EXPECT_THROW(net->send(1, 1, Message{}), util::CheckFailure);
+}
+
+/// Runs `call` and expects a CheckFailure whose message names `what`.
+template <typename F>
+void expect_check_naming(F call, const std::string& what) {
+  try {
+    call();
+    ADD_FAILURE() << "no CheckFailure for " << what;
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Network, OutOfRangeRecipientRejected) {
+  Fixture fx;
+  auto net = fx.make(DelayKind::kMax);
+  expect_check_naming([&] { net->send(0, 99, Message{}); }, "recipient 99");
+  expect_check_naming([&] { net->send_with_delay(3, 99, Message{}, 1.0); },
+                      "recipient 99");
+  EXPECT_EQ(net->stats().messages, 0u);
+}
+
+TEST(Network, OutOfRangeSenderRejected) {
+  Fixture fx;
+  auto net = fx.make(DelayKind::kMax);
+  expect_check_naming([&] { net->send(99, 0, Message{}); }, "sender 99");
+  expect_check_naming([&] { net->send_with_delay(99, 0, Message{}, 1.0); },
+                      "sender 99");
+  EXPECT_EQ(net->stats().messages, 0u);
+}
+
+TEST(Network, OutOfRangeBroadcastSenderRejected) {
+  Fixture fx;
+  for (const bool batch : {true, false}) {
+    auto net = fx.make(DelayKind::kMax);
+    net->set_batch(batch);
+    expect_check_naming([&] { net->broadcast(99, Message{}); }, "sender 99");
+    EXPECT_EQ(net->stats().messages, 0u);
+  }
 }
 
 TEST(Network, ByzantineExplicitDelayHonored) {
