@@ -21,7 +21,7 @@ EventId EventQueue::schedule(double t, EventFn fn) {
   return id;
 }
 
-EventId EventQueue::push(double t, std::uint64_t seq, EventFn fn) {
+EventId EventQueue::push(double t, std::uint64_t seq, EventFn&& fn) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();

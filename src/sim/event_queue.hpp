@@ -113,7 +113,7 @@ class EventQueue {
   };
 
   /// Store `fn` in a free slot and push its heap entry.
-  EventId push(double t, std::uint64_t seq, EventFn fn);
+  EventId push(double t, std::uint64_t seq, EventFn&& fn);
   [[nodiscard]] bool stale(const Entry& e) const noexcept {
     return slots_[slot_of(e.id)].gen != gen_of(e.id);
   }

@@ -148,8 +148,11 @@ void Network::broadcast(NodeId from, const Message& m) {
     walks_.push_back(std::make_unique<Walk>());
     free_walks_.push_back(walks_.back().get());
   }
+  // The walk leaves the pool only once it is scheduled: if a delay policy
+  // throws mid-loop, the walk stays pooled and the next broadcast reuses it.
   Walk* walk = free_walks_.back();
-  free_walks_.pop_back();
+  std::vector<Segment>& segments = walk->segments;
+  segments.clear();
 
   // One shared payload for the whole broadcast; receivers only read it.
   Message stamped = m;
@@ -157,9 +160,9 @@ void Network::broadcast(NodeId from, const Message& m) {
   walk->ref = arena_.acquire(stamped);
 
   // Group maximal runs of consecutive receivers with exactly-equal delay
-  // into segments. Due times clamp to now() exactly like Engine::at.
+  // into segments (n >= 2, so there is at least one). Due times clamp to
+  // now() exactly like Engine::at.
   const double now = engine_.now();
-  std::vector<Segment>& segments = walk->segments;
   double run_delay = 0.0;
   for (NodeId to = 0; to < model_.n; ++to) {
     if (to == from) continue;
@@ -175,12 +178,6 @@ void Network::broadcast(NodeId from, const Message& m) {
       segments.push_back(Segment{std::max(now + delay, now), to, to, 1});
     }
   }
-  if (segments.empty()) {  // n == 1: nobody to deliver to
-    walk->ref = {};
-    free_walks_.push_back(walk);
-    return;
-  }
-
   // The per-receiver path fires equal-time deliveries in receiver order, so
   // walk the segments by (t, position): a stable in-place insertion sort on
   // t (std::stable_sort would allocate a buffer per broadcast). Two
@@ -195,6 +192,7 @@ void Network::broadcast(NodeId from, const Message& m) {
   // One queue entry for the whole broadcast. Re-arming keeps the entry's
   // sequence number, so against every other event it sorts exactly where
   // the per-segment events of the reference path would.
+  free_walks_.pop_back();
   walk->next = 0;
   engine_.at(segments.front().t, [this, walk] { deliver_segment(*walk); });
 }
@@ -214,7 +212,6 @@ void Network::deliver_segment(Walk& walk) {
     return;
   }
   walk.ref = {};
-  walk.segments.clear();
   free_walks_.push_back(&walk);
 }
 

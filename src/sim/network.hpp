@@ -221,7 +221,7 @@ class Network {
   void check_adversary_knowledge(NodeId from, const Message& m);
   void enqueue(NodeId from, NodeId to, Message m, double delay);
   /// Stats/knowledge/delivery for one receiver — shared by the per-message
-  /// closure and the aggregate broadcast event.
+  /// closure and the batched broadcast's segment walk.
   void deliver_one(NodeId to, const Message& m);
   void count_message(const Message& m);
   double choose_delay(NodeId from, NodeId to, const Message& m);
