@@ -47,7 +47,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -372,10 +371,10 @@ int run_bench(const std::optional<std::string>& json_path,
   bench::print(cache_table);
 
   // E14: engine fast-path throughput. Broadcast-heavy complete-world cell:
-  // CPS at n=192, fault-free, split delays — every broadcast is two delivery
-  // segments on one queue entry on the fast path versus 191 per-receiver
-  // events on the reference path. The abstract-crypto row runs the same signature
-  // scheme as real crypto (payload digests are memoized either way), so it
+  // CPS at n=192, fault-free, split delays — every broadcast is two
+  // delivery segments on one queue entry on the fast path versus 191
+  // per-receiver events on the reference path. The abstract-crypto row runs
+  // the same signature scheme as real crypto (payload digests are memoized either way), so it
   // repeats the batched measurement under the `abstract` label. Same seeds,
   // byte-identical results; only wall clock may differ.
   runner::SweepGrid fp_grid;
@@ -428,10 +427,10 @@ int run_bench(const std::optional<std::string>& json_path,
   bench::print(fp_table);
 
   // The same cell under random delays: nearly every receiver is its own
-  // delivery segment, so the fast path saves queue entries, not pops, and
-  // the reference queue holds ~n^3 entries. Two rounds (one warmup) keep
-  // the pair to ~30 s on a 4-core x86 host. Reported only; the grid digest
-  // and the gated cost ratio stay on the split-delay rows above.
+  // delivery segment, so the fast path saves queue entries (one per
+  // broadcast instead of one per receiver), not pops. Two rounds (one
+  // warmup) keep the pair to ~20 s on a 4-core x86 host. Reported only; the
+  // grid digest and the gated cost ratio stay on the split-delay rows above.
   auto random_spec = fp_spec;
   random_spec.delay = sim::DelayKind::kRandom;
   random_spec.rounds = 2;
@@ -449,19 +448,18 @@ int run_bench(const std::optional<std::string>& json_path,
       "rounds (identical results, wall clock only)");
   random_table.set_header(
       {"configuration", "events", "seconds", "events/sec", "speedup"});
-  for (const auto& [label, run] :
-       {std::pair<const char*, const TimedRun*>{"per-receiver reference",
-                                                &random_reference},
-        {"batched delivery", &random_batched}}) {
+  auto random_row = [&](const char* label, const TimedRun& run) {
     random_table.add_row(
-        {label, std::to_string(run->result.events),
-         util::Table::num(run->seconds, 3),
-         util::Table::num(run->events_per_sec(), 0),
-         util::Table::num(run->events_per_sec() /
+        {label, std::to_string(run.result.events),
+         util::Table::num(run.seconds, 3),
+         util::Table::num(run.events_per_sec(), 0),
+         util::Table::num(run.events_per_sec() /
                               std::max(random_reference.events_per_sec(), 1e-9),
                           2) +
              "x"});
-  }
+  };
+  random_row("per-receiver reference", random_reference);
+  random_row("batched delivery", random_batched);
   bench::print(random_table);
 
   // E15: the dynamic-network world's price tag. The same flood-probe

@@ -12,9 +12,9 @@
 // A running callback may re-arm itself with repeat_at(t): after it returns,
 // the same callback goes back into the queue at `t` under its original
 // sequence number. A batched broadcast uses this to walk its delivery
-// segments in (time, position) order from one queue entry; keeping the
-// first sequence number of what used to be a contiguous block of schedules
-// keeps every comparison with other events, so the pop order is unchanged.
+// segments in (time, position) order from one queue entry: under one
+// sequence number the walk pops exactly where one event per segment,
+// scheduled back to back, would.
 
 #include <cstddef>
 #include <cstdint>
