@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -390,6 +393,140 @@ TEST(EventQueue, CancelChurnKeepsHeapBounded) {
   }
   EXPECT_LE(q.slab_capacity(), high_water + 8);
   EXPECT_LE(q.heap_size(), 2 * high_water + 130);
+}
+
+// A std::map keyed by (time, schedule order) is the reference queue: every
+// pop and every next_time() of a long random run must match it. Times sit on
+// a coarse grid, so equal-time ties are dense, plus edge values: ±0.0 (equal,
+// so they tie on schedule order), negatives, subnormals, times near 2^60 and
+// ±DBL_MAX. The driver cancels live and stale ids; callbacks schedule,
+// cancel and re-arm with repeat_at. Periodic cancel storms force compaction.
+class ReferenceHarness {
+ public:
+  void run(std::uint64_t total_ops) {
+    while (ops_ < total_ops) {
+      ++ops_;
+      const std::uint64_t r = rng_.below(16);
+      if (r < 7 && model_.size() < 2'000) {
+        schedule(pick_time());
+      } else if (r < 10) {
+        cancel_recent();
+      } else if (!model_.empty()) {
+        pop_and_check();
+      } else {
+        ASSERT_TRUE(q_.empty());
+      }
+      if (ops_ % 25'000 == 0) {
+        for (std::size_t i = 0; i < evs_.size(); ++i) cancel(i);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!model_.empty() && !::testing::Test::HasFatalFailure()) {
+      pop_and_check();
+    }
+    EXPECT_TRUE(q_.empty());
+    EXPECT_EQ(cancel_mismatches_, 0u);
+    EXPECT_GT(pops_, total_ops / 4);
+    EXPECT_GT(repeats_, pops_ / 8);
+  }
+
+ private:
+  struct Ev {
+    EventId id = 0;
+    double t = 0.0;
+    std::uint64_t seq = 0;
+    bool pending = false;
+    bool cancellable = false;  // false once fired: a re-armed event's new id
+                               // is not exposed, and a fired id is stale
+  };
+
+  double pick_time() {
+    static constexpr double kMin = std::numeric_limits<double>::min();
+    static constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+    static constexpr double kMax = std::numeric_limits<double>::max();
+    static const double kEdge[] = {
+        -0.0,  0.0,     -1.5,          -kMin,
+        -kTiny, kTiny,  2 * kTiny,     kMin,
+        0x1p60, 0x1p60 + 256.0, std::nextafter(0x1p60, 0.0),
+        -kMax, kMax};
+    if (rng_.chance(0.9)) return 0.25 * static_cast<double>(rng_.below(48));
+    return kEdge[rng_.below(std::size(kEdge))];
+  }
+
+  void schedule(double t) {
+    const std::size_t tag = evs_.size();
+    const std::uint64_t seq = q_.scheduled_count();
+    const EventId id = q_.schedule(t, [this, tag] { on_run(tag); });
+    evs_.push_back(Ev{id, t, seq, true, true});
+    model_.emplace(std::pair{t, seq}, tag);
+  }
+
+  void cancel(std::size_t tag) {
+    Ev& e = evs_[tag];
+    const bool live = e.pending && e.cancellable;
+    if (q_.cancel(e.id) != live) ++cancel_mismatches_;
+    if (live) {
+      model_.erase(std::pair{e.t, e.seq});
+      e.pending = false;
+    }
+  }
+
+  /// Cancel one of the most recent ids, live or already stale.
+  void cancel_recent() {
+    if (evs_.empty()) return;
+    const std::size_t window = std::min<std::size_t>(evs_.size(), 4'096);
+    cancel(evs_.size() - 1 - rng_.below(window));
+  }
+
+  void on_run(std::size_t tag) {
+    ran_ = tag;
+    if (rng_.chance(0.3)) schedule(pick_time());
+    if (rng_.chance(0.2)) cancel_recent();
+    if (rng_.chance(0.25)) {
+      repeat_ = true;
+      repeat_t_ = evs_[tag].t + 0.25 * static_cast<double>(rng_.below(3));
+      q_.repeat_at(repeat_t_);
+    }
+  }
+
+  void pop_and_check() {
+    const auto [key, tag] = *model_.begin();
+    ASSERT_FALSE(q_.empty());
+    ASSERT_EQ(q_.pending(), model_.size());
+    ASSERT_EQ(q_.next_time(), key.first) << "pop " << pops_;
+    model_.erase(model_.begin());
+    evs_[tag].pending = false;
+    evs_[tag].cancellable = false;
+    ran_ = evs_.size();
+    repeat_ = false;
+    const double t = q_.pop_and_run();
+    ++pops_;
+    ASSERT_EQ(ran_, tag) << "pop " << pops_ << " at t = " << key.first;
+    ASSERT_EQ(t, key.first);
+    if (repeat_) {
+      ++repeats_;
+      evs_[tag].t = repeat_t_;
+      evs_[tag].pending = true;
+      model_.emplace(std::pair{repeat_t_, evs_[tag].seq}, tag);
+    }
+  }
+
+  EventQueue q_;
+  util::Rng rng_{0x0DE5EED};
+  std::vector<Ev> evs_;
+  std::map<std::pair<double, std::uint64_t>, std::size_t> model_;
+  std::size_t ran_ = 0;
+  bool repeat_ = false;
+  double repeat_t_ = 0.0;
+  std::uint64_t ops_ = 0;
+  std::uint64_t pops_ = 0;
+  std::uint64_t repeats_ = 0;
+  std::size_t cancel_mismatches_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceOrderUnderRandomOps) {
+  ReferenceHarness h;
+  h.run(200'000);
 }
 
 }  // namespace
