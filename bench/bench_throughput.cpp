@@ -26,6 +26,24 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+// The max-delay tie pattern: 1,000 events on Arg distinct times with every
+// fifth cancelled as it is scheduled, so the (time, seq) tie-break decides
+// the order and cancelled entries wait in the heap. Reported only; no gate.
+void BM_EventQueueTies(benchmark::State& state) {
+  const auto times = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::EventQueue queue;
+    for (int i = 0; i < 1000; ++i) {
+      const sim::EventId id =
+          queue.schedule(static_cast<double>(i % times), [] {});
+      if (i % 5 == 0) queue.cancel(id);
+    }
+    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop_and_run());
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventQueueTies)->Arg(4);
+
 void BM_HardwareClockEval(benchmark::State& state) {
   util::Rng rng(1);
   const auto clock = sim::HardwareClock::random_walk(rng, 1.05, 0.1, 1.0, 1000.0);

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
@@ -58,29 +59,29 @@ EventId Engine::after(double dt, EventFn fn) {
   return queue_.schedule(now_ + dt, std::move(fn));
 }
 
+bool Engine::run_next(double horizon) {
+  double t;
+  if (!queue_.peek(t) || t > horizon) return false;
+  if ((budget_tick_++ % kBudgetStride) == 0 && WallBudget::expired())
+    throw BudgetExceeded{};
+  CS_CHECK_MSG(t >= now_, "time went backwards: " << t << " < " << now_);
+  now_ = t;
+  queue_.pop_and_run();
+  ++processed_;
+  return true;
+}
+
 void Engine::run_until(double horizon) {
-  std::uint32_t until_check = 0;
-  while (!queue_.empty() && queue_.next_time() <= horizon) {
-    // Checked on the first iteration (so a tiny budget trips even a short
-    // run) and every kBudgetStride events after.
-    if ((until_check++ % kBudgetStride) == 0 && WallBudget::expired())
-      throw BudgetExceeded{};
-    const double t = queue_.next_time();
-    CS_CHECK_MSG(t >= now_, "time went backwards: " << t << " < " << now_);
-    now_ = t;
-    queue_.pop_and_run();
-    ++processed_;
+  // Check the budget on this run's first event, so a tiny budget trips even
+  // a short run, and every kBudgetStride events after.
+  budget_tick_ = 0;
+  while (run_next(horizon)) {
   }
   now_ = std::max(now_, horizon);
 }
 
 bool Engine::step() {
-  if (WallBudget::expired()) throw BudgetExceeded{};
-  if (queue_.empty()) return false;
-  now_ = queue_.next_time();
-  queue_.pop_and_run();
-  ++processed_;
-  return true;
+  return run_next(std::numeric_limits<double>::infinity());
 }
 
 }  // namespace crusader::sim

@@ -67,7 +67,9 @@ class Engine {
   /// Run until the queue is empty or the next event is beyond `horizon`.
   void run_until(double horizon);
 
-  /// Process a single event if one exists; returns false when idle.
+  /// Process a single event if one exists; returns false when idle. Checks
+  /// the wall budget on the engine's first event and every 256th after,
+  /// like run_until.
   bool step();
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
@@ -86,9 +88,14 @@ class Engine {
   }
 
  private:
+  /// Run the earliest pending event if it is due by `horizon`; false when
+  /// none is. The one event path of run_until and step.
+  bool run_next(double horizon);
+
   EventQueue queue_;
   double now_ = 0.0;
   std::uint64_t processed_ = 0;
+  std::uint32_t budget_tick_ = 0;  // counts events between budget checks
 };
 
 }  // namespace crusader::sim

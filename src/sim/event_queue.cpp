@@ -35,8 +35,8 @@ EventId EventQueue::push(double t, std::uint64_t seq, EventFn&& fn) {
   slots_[slot].fn = std::move(fn);
   const EventId id =
       (static_cast<EventId>(slots_[slot].gen) << 32) | static_cast<EventId>(slot);
-  heap_.push_back(Entry{t, seq, id});
-  std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
+  heap_.emplace_back();  // the hole sift_up fills
+  sift_up(heap_.size() - 1, Entry{time_key(t), seq, id});
   high_water_ = std::max(high_water_, heap_.size());
   ++live_;
   return id;
@@ -61,12 +61,41 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-void EventQueue::drop_stale() const {
-  while (!heap_.empty() && stale(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
-    heap_.pop_back();
-    --stale_in_heap_;
+void EventQueue::sift_up(std::size_t hole, const Entry e) noexcept {
+  const Priority p = priority(e);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (priority(heap_[parent]) < p) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
   }
+  heap_[hole] = e;
+}
+
+void EventQueue::sift_down(std::size_t hole, const Entry e) const noexcept {
+  const std::size_t n = heap_.size();
+  const Priority p = priority(e);
+  for (std::size_t child; (child = 2 * hole + 1) < n; hole = child) {
+    // The earlier of two children, picked without a branch on the keys.
+    if (child + 1 < n)
+      child += priority(heap_[child + 1]) < priority(heap_[child]);
+    if (p < priority(heap_[child])) break;
+    heap_[hole] = heap_[child];
+  }
+  heap_[hole] = e;
+}
+
+void EventQueue::pop_top() const noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+void EventQueue::drop_stale_slow() const {
+  do {
+    pop_top();
+    --stale_in_heap_;
+  } while (!heap_.empty() && stale(heap_.front()));
 }
 
 void EventQueue::compact() {
@@ -75,7 +104,7 @@ void EventQueue::compact() {
   // tiny heaps.
   if (stale_in_heap_ <= heap_.size() / 2 || stale_in_heap_ <= 64) return;
   std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
-  std::make_heap(heap_.begin(), heap_.end(), FiresLater{});
+  for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i, heap_[i]);
   stale_in_heap_ = 0;
 }
 
@@ -87,15 +116,15 @@ bool EventQueue::empty() const {
 double EventQueue::next_time() const {
   drop_stale();
   CS_CHECK(!heap_.empty());
-  return heap_.front().t;
+  return key_time(heap_.front().time_key);
 }
 
 double EventQueue::pop_and_run() {
   drop_stale();
   CS_CHECK(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
-  const Entry top = heap_.back();
-  heap_.pop_back();
+  const Entry top = heap_.front();
+  pop_top();
+  const double t = key_time(top.time_key);
   EventFn fn = std::move(slots_[slot_of(top.id)].fn);
   retire(slot_of(top.id));
   CS_CHECK_MSG(fn, "popped a cancelled event");
@@ -106,12 +135,12 @@ double EventQueue::pop_and_run() {
       Run& current;
       Run saved;
       ~Scope() { current = saved; }
-    } scope{run_, std::exchange(run_, Run{true, false, top.t, 0.0})};
+    } scope{run_, std::exchange(run_, Run{true, false, t, 0.0})};
     fn();
     finished = run_;
   }
   if (finished.repeat) push(finished.repeat_t, top.seq, std::move(fn));
-  return top.t;
+  return t;
 }
 
 void EventQueue::repeat_at(double t) {

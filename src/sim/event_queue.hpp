@@ -15,7 +15,18 @@
 // segments in (time, position) order from one queue entry: under one
 // sequence number the walk pops exactly where one event per segment,
 // scheduled back to back, would.
+//
+// The order lives in a hand-written binary min-heap of 24-byte entries
+// {time_key, seq, id}. time_key(t) maps the IEEE-754 bits of `t + 0.0` to
+// an unsigned integer with the same order as the doubles, so an entry's
+// priority is the one 128-bit integer `time_key << 64 | seq` and every
+// comparison is a single integer compare, with no branch on equal times.
+// The key is kept as two 64-bit words, not an __int128 member, whose 16-byte
+// alignment would pad the entry to 32 bytes. The `+ 0.0` folds -0.0 into
+// +0.0: the two times compare equal as doubles, so events at either tie on
+// seq, and an event scheduled at -0.0 reports its time as +0.0.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,6 +56,14 @@ class EventQueue {
   [[nodiscard]] bool empty() const;
   /// Time of the earliest pending event; requires !empty().
   [[nodiscard]] double next_time() const;
+  /// empty() and next_time() in one stale check: false when nothing is
+  /// pending, else true with the earliest pending event's time in `t`.
+  [[nodiscard]] bool peek(double& t) const {
+    drop_stale();
+    if (heap_.empty()) return false;
+    t = key_time(heap_.front().time_key);
+    return true;
+  }
 
   /// Pops and runs the earliest event; returns its time. Requires !empty().
   /// If the callback called repeat_at(t), it is re-inserted at `t` once it
@@ -77,24 +96,41 @@ class EventQueue {
   /// schedule/cancel/pop sequence only).
   [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
 
+  /// The heap's time key: for finite a and b, a < b iff time_key(a) <
+  /// time_key(b), and -0.0 maps to +0.0's key. Negative times flip every
+  /// bit (a larger magnitude sorts first); the rest set the sign bit.
+  [[nodiscard]] static constexpr std::uint64_t time_key(double t) noexcept {
+    const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+    return bits ^ (sign_mask(bits) | kSignBit);
+  }
+  /// Inverse of time_key: the exact time, with -0.0 read back as +0.0.
+  [[nodiscard]] static constexpr double key_time(std::uint64_t key) noexcept {
+    return std::bit_cast<double>(key ^ (sign_mask(~key) | kSignBit));
+  }
+
  private:
+  static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  /// All ones when the top bit of `bits` is set, else zero.
+  static constexpr std::uint64_t sign_mask(std::uint64_t bits) noexcept {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(bits) >> 63);
+  }
+
   struct Slot {
     EventFn fn;               // empty == slot free / event retired
     std::uint32_t gen = 0;    // bumped on fire/cancel; stale ids mismatch
   };
   struct Entry {
-    double t;
+    std::uint64_t time_key;  // time_key(t)
     std::uint64_t seq;  // insertion order: FIFO tie-break for equal times
     EventId id;
   };
-  /// std::push_heap builds a max-heap; "less" here means "fires later", so
-  /// the heap top is the earliest (time, seq).
-  struct FiresLater {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
-  };
+  static_assert(sizeof(Entry) == 24);
+  __extension__ using Priority = unsigned __int128;
+  /// Smaller fires first. No two entries share a priority: a seq is in the
+  /// heap at most once (repeat_at re-inserts it only after its pop).
+  static Priority priority(const Entry& e) noexcept {
+    return (static_cast<Priority>(e.time_key) << 64) | e.seq;
+  }
 
   static constexpr std::uint32_t slot_of(EventId id) noexcept {
     return static_cast<std::uint32_t>(id);
@@ -121,12 +157,22 @@ class EventQueue {
   /// recycle the index.
   void retire(std::uint32_t slot);
   /// Pop stale (cancelled) entries off the heap top.
-  void drop_stale() const;
+  void drop_stale() const {
+    if (!heap_.empty() && stale(heap_.front())) drop_stale_slow();
+  }
+  void drop_stale_slow() const;
   /// Rebuild the heap without stale entries once they dominate, bounding heap
   /// memory by O(pending) even under heavy schedule/cancel churn.
   void compact();
 
-  mutable std::vector<Entry> heap_;  // binary heap via std::{push,pop}_heap
+  /// Fill the heap's hole at `hole` with `e`, moving `e` toward the root.
+  void sift_up(std::size_t hole, Entry e) noexcept;
+  /// Fill the heap's hole at `hole` with `e`, moving `e` toward the leaves.
+  void sift_down(std::size_t hole, Entry e) const noexcept;
+  /// Remove the top entry: the last entry fills the root's hole and sinks.
+  void pop_top() const noexcept;
+
+  mutable std::vector<Entry> heap_;  // binary min-heap on priority()
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::uint64_t scheduled_ = 0;  // lifetime schedules; doubles as seq source

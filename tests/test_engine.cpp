@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -82,6 +84,66 @@ TEST(Engine, CountsProcessedEvents) {
   for (int i = 0; i < 5; ++i) engine.at(i, [] {});
   engine.run_until(10.0);
   EXPECT_EQ(engine.events_processed(), 5u);
+}
+
+/// Ties on a coarse grid, events that schedule later events, and cancels:
+/// each run appends (now, tag) to `trace`. The last event fires at 2.0.
+void load_mixed_events(Engine& engine,
+                       std::vector<std::pair<double, int>>& trace) {
+  std::vector<EventId> ids;
+  for (int i = 0; i < 600; ++i) {
+    ids.push_back(engine.at(0.25 * (i % 7), [&engine, &trace, i] {
+      trace.emplace_back(engine.now(), i);
+      if (i % 5 == 0) {
+        engine.after(0.5, [&engine, &trace, i] {
+          trace.emplace_back(engine.now(), 1000 + i);
+        });
+      }
+    }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 9) engine.cancel(ids[i]);
+}
+
+TEST(Engine, StepMatchesRunUntil) {
+  Engine stepped;
+  Engine ran;
+  std::vector<std::pair<double, int>> by_step;
+  std::vector<std::pair<double, int>> by_run;
+  load_mixed_events(stepped, by_step);
+  load_mixed_events(ran, by_run);
+  while (stepped.step()) {
+  }
+  ran.run_until(2.0);
+  EXPECT_EQ(by_step, by_run);
+  EXPECT_EQ(stepped.now(), ran.now());
+  EXPECT_EQ(stepped.now(), 2.0);
+  EXPECT_EQ(stepped.events_processed(), ran.events_processed());
+  EXPECT_EQ(stepped.events_processed(), by_step.size());
+}
+
+TEST(Engine, ExpiredBudgetThrowsFromStepAndRunUntil) {
+  Engine stepped;
+  Engine ran;
+  for (int i = 0; i < 1000; ++i) {
+    stepped.at(i, [] {});
+    ran.at(i, [] {});
+  }
+  const WallBudget budget(1e-6);
+  while (!WallBudget::expired()) {
+  }
+  EXPECT_THROW(ran.run_until(2000.0), BudgetExceeded);
+  EXPECT_EQ(ran.events_processed(), 0u);
+  // step() checks on the engine's first event, then every 256th event, as
+  // run_until does.
+  EXPECT_THROW(stepped.step(), BudgetExceeded);
+  EXPECT_EQ(stepped.events_processed(), 0u);
+  EXPECT_THROW(
+      {
+        while (stepped.step()) {
+        }
+      },
+      BudgetExceeded);
+  EXPECT_EQ(stepped.events_processed(), 255u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -393,6 +394,57 @@ TEST(EventQueue, CancelChurnKeepsHeapBounded) {
   }
   EXPECT_LE(q.slab_capacity(), high_water + 8);
   EXPECT_LE(q.heap_size(), 2 * high_water + 130);
+}
+
+TEST(EventQueue, TimeKeyPreservesOrderAndRoundTrips) {
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> corpus;
+  for (const double x : {-kMax, -1e300, -0x1p60, -1.5, -1.0, -kMin, -kTiny,
+                         -0.0, 0.0, kTiny, 2 * kTiny, kMin, 0.25, 1.0,
+                         0x1p60, 1e300, kMax}) {
+    corpus.push_back(x);
+    // Finite nextafter neighbours: each sits one ulp from x.
+    for (const double toward : {-kInf, kInf}) {
+      const double y = std::nextafter(x, toward);
+      if (std::isfinite(y)) corpus.push_back(y);
+    }
+  }
+  for (const double a : corpus) {
+    const std::uint64_t ka = EventQueue::time_key(a);
+    for (const double b : corpus) {
+      const std::uint64_t kb = EventQueue::time_key(b);
+      EXPECT_EQ(a < b, ka < kb) << a << " vs " << b;
+      EXPECT_EQ(a == b, ka == kb) << a << " vs " << b;
+    }
+    // Exact round trip, with -0.0 read back as +0.0.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(EventQueue::key_time(ka)),
+              std::bit_cast<std::uint64_t>(a + 0.0))
+        << a;
+  }
+  EXPECT_EQ(EventQueue::time_key(-0.0), EventQueue::time_key(0.0));
+  EXPECT_FALSE(std::signbit(EventQueue::key_time(EventQueue::time_key(-0.0))));
+}
+
+TEST(EventQueue, SignedZeroTimesTieOnScheduleOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    q.schedule(i % 2 == 0 ? -0.0 : 0.0, [&order, i] { order.push_back(i); });
+  }
+  q.schedule(-std::numeric_limits<double>::denorm_min(),
+             [&order] { order.push_back(-1); });
+  EXPECT_EQ(q.next_time(), -std::numeric_limits<double>::denorm_min());
+  q.pop_and_run();
+  while (!q.empty()) {
+    EXPECT_FALSE(std::signbit(q.next_time()));
+    const double t = q.pop_and_run();
+    EXPECT_EQ(t, 0.0);
+    EXPECT_FALSE(std::signbit(t));
+  }
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5}));
 }
 
 // A std::map keyed by (time, schedule order) is the reference queue: every
