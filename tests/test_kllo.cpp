@@ -7,13 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "relay/schedule.hpp"
 #include "relay/topology.hpp"
 #include "runner/kllo.hpp"
+#include "runner/runner.hpp"
 #include "sim/trace.hpp"
+#include "util/rng.hpp"
 
 namespace crusader::runner {
 namespace {
@@ -164,6 +171,183 @@ TEST(KlloConformance, EmptyTraceReportsAbsentMetrics) {
   EXPECT_TRUE(std::isnan(out.ratio));
   EXPECT_TRUE(std::isnan(out.edge_age_min));
   EXPECT_EQ(out.violations, 0u);
+}
+
+/// Reference local-skew walk: replay the schedule through
+/// TopologySchedule::apply and take each round's worst live measured edge.
+std::vector<double> reference_local_skew(
+    const sim::PulseTrace& trace, const relay::TopologySchedule& schedule) {
+  const std::size_t rounds = trace.complete_rounds();
+  const std::uint32_t n = trace.n();
+  std::vector<double> series(rounds, 0.0);
+  relay::Topology topo = schedule.initial();
+  std::vector<bool> down(n, false);
+  const auto& deltas = schedule.deltas();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    double worst = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (down[v] || trace.is_faulty(v)) continue;
+      for (const NodeId w : topo.neighbors(v)) {
+        if (w < v || down[w] || trace.is_faulty(w)) continue;
+        worst = std::max(worst, std::abs(trace.pulse_time(v, r) -
+                                         trace.pulse_time(w, r)));
+      }
+    }
+    series[r] = worst;
+    if (r < deltas.size())
+      relay::TopologySchedule::apply(deltas[r], topo, down);
+  }
+  return series;
+}
+
+/// Reference KLLO walk: EdgeAgeTracker ages, kllo_envelope per edge. On a
+/// schedule without deltas the tracker's age at round r is r.
+KlloConformance reference_kllo(const sim::PulseTrace& trace,
+                               const relay::TopologySchedule& schedule,
+                               const KlloEnvelopeParams& params) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  KlloConformance out{kNan, 0, kNan};
+  const std::size_t rounds = trace.complete_rounds();
+  const std::uint32_t n = trace.n();
+  relay::EdgeAgeTracker tracker(schedule.initial());
+  const auto& deltas = schedule.deltas();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    double min_age = kNan;
+    const auto& topo = tracker.topology();
+    const auto& down = tracker.down();
+    for (NodeId v = 0; v < n; ++v) {
+      if (down[v] || trace.is_faulty(v)) continue;
+      for (const NodeId w : topo.neighbors(v)) {
+        if (w < v || down[w] || trace.is_faulty(w)) continue;
+        const std::uint64_t age = tracker.age(v, w);
+        const double env = kllo_envelope(age, n, params);
+        const double skew =
+            std::abs(trace.pulse_time(v, r) - trace.pulse_time(w, r));
+        const double ratio =
+            env > 0.0 ? skew / env
+                      : (skew > 0.0 ? std::numeric_limits<double>::infinity()
+                                    : 0.0);
+        if (!(ratio <= out.ratio)) out.ratio = ratio;
+        if (ratio > 1.0 + 1e-9) ++out.violations;
+        const auto age_d = static_cast<double>(age);
+        if (!(age_d >= min_age)) min_age = age_d;
+      }
+    }
+    if (r + 1 == rounds) out.edge_age_min = min_age;
+    if (r < deltas.size())
+      tracker.apply(deltas[r]);
+    else
+      tracker.advance();
+  }
+  return out;
+}
+
+/// Seeded pulse trace: honest nodes pulse `rounds` times near r·period,
+/// faulty nodes a random shorter-or-equal number of times.
+sim::PulseTrace synthetic_trace(std::uint32_t n, std::size_t rounds,
+                                const std::vector<bool>& faulty,
+                                std::uint64_t seed, double spread) {
+  sim::PulseTrace trace(n, faulty);
+  util::Rng rng(seed);
+  for (NodeId v = 0; v < n; ++v) {
+    const std::size_t pulses =
+        faulty[v] ? static_cast<std::size_t>(rng.below(rounds + 1)) : rounds;
+    for (std::size_t r = 0; r < pulses; ++r) {
+      const double t = 10.0 * static_cast<double>(r) + rng.uniform(0.0, spread);
+      trace.record(v, t, t);
+    }
+  }
+  return trace;
+}
+
+/// Bit-for-bit equality of two doubles (NaN equals NaN of the same bits).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+relay::ChurnPolicy policy_of(double rate, std::uint32_t batch,
+                             relay::ReconnectPolicy reconnect) {
+  relay::ChurnPolicy policy;
+  policy.churn_rate = rate;
+  policy.join_batch = batch;
+  policy.reconnect = reconnect;
+  return policy;
+}
+
+TEST(EdgeMetrics, MatchTwoWalkReference) {
+  std::vector<relay::TopologySchedule> schedules;
+  // Churned hypercubes: every reconnect policy, with and without leaves.
+  for (const auto reconnect : {relay::ReconnectPolicy::kRandom,
+                               relay::ReconnectPolicy::kPreferential,
+                               relay::ReconnectPolicy::kRingRepair})
+    for (const std::uint32_t batch : {0u, 2u})
+      schedules.push_back(relay::TopologySchedule::generate(
+          relay::Topology::hypercube(5), policy_of(0.2, batch, reconnect), 10,
+          41 + batch));
+  // All-empty deltas: a disconnected initial graph rejects every cut.
+  relay::Topology split(8);
+  for (NodeId v = 0; v < 4; ++v) {
+    split.add_edge(v, (v + 1) % 4);
+    split.add_edge(4 + v, 4 + (v + 1) % 4);
+  }
+  schedules.push_back(relay::TopologySchedule::generate(
+      split, policy_of(0.5, 1, relay::ReconnectPolicy::kRandom), 6, 3));
+  ASSERT_FALSE(schedules.back().deltas().empty());
+  ASSERT_FALSE(schedules.back().dynamic());
+  // Static topologies: no deltas at all.
+  schedules.push_back(
+      relay::TopologySchedule::static_schedule(relay::Topology::hypercube(5)));
+  schedules.push_back(relay::TopologySchedule::static_schedule(
+      relay::Topology::chordal_ring(20, 3)));
+
+  std::size_t graded = 0;
+  std::size_t violations = 0;
+  for (std::size_t s = 0; s < schedules.size(); ++s) {
+    const auto& schedule = schedules[s];
+    const std::uint32_t n = schedule.initial().n();
+    const auto churned = schedule.ever_churned();
+    // Round counts below, at and past the schedule length (past it the
+    // walk only ages edges); faulty sets: none, the churned nodes, and the
+    // churned nodes plus a few stable ones.
+    for (const std::size_t rounds : {std::size_t{0}, std::size_t{1},
+                                     schedule.deltas().size(),
+                                     schedule.deltas().size() + 3})
+      for (int mask = 0; mask < 3; ++mask) {
+        std::vector<bool> faulty(n, false);
+        if (mask > 0) faulty = churned;
+        if (mask > 1)
+          for (NodeId v = 1; v < n; v += 5) faulty[v] = true;
+        const auto trace =
+            synthetic_trace(n, rounds, faulty, 1000 * s + rounds + mask, 0.6);
+        for (const double sigma : {0.0, 0.004, 0.05}) {
+          KlloEnvelopeParams params;
+          params.sigma = sigma;
+          params.global = static_cast<double>(n) * sigma;
+          params.stab_mult = sigma == 0.05 ? 2.5 : 1.0;
+          const auto want_series = reference_local_skew(trace, schedule);
+          const auto want = reference_kllo(trace, schedule, params);
+          const auto series = local_skew_series(trace, schedule);
+          const auto got = kllo_conformance(trace, schedule, params);
+          const std::string where = "schedule " + std::to_string(s) +
+                                    " rounds " + std::to_string(rounds) +
+                                    " mask " + std::to_string(mask) +
+                                    " sigma " + std::to_string(sigma);
+          ASSERT_EQ(series.size(), want_series.size()) << where;
+          for (std::size_t r = 0; r < series.size(); ++r)
+            EXPECT_TRUE(same_bits(series[r], want_series[r]))
+                << where << " round " << r;
+          EXPECT_TRUE(same_bits(got.ratio, want.ratio)) << where;
+          EXPECT_EQ(got.violations, want.violations) << where;
+          EXPECT_TRUE(same_bits(got.edge_age_min, want.edge_age_min))
+              << where;
+          graded += rounds > 0 ? 1 : 0;
+          violations += want.violations;
+        }
+      }
+  }
+  // The grid grades real rounds and trips the envelope somewhere.
+  EXPECT_GT(graded, 0u);
+  EXPECT_GT(violations, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -168,6 +169,21 @@ TEST(Schedule, DigestsPinnedAcrossFamiliesPoliciesAndSeeds) {
               << "family " << f << ", reconnect " << p << ", churn " << c
               << ", seed " << seed;
         }
+
+  // hypercube(12) at churn 0.1: 2458 rewires per epoch, where a bridge
+  // check's frontiers grow past their first few BFS levels.
+  constexpr std::uint64_t kLargeDigest[3] = {
+      0x910393519ef004a6ULL,  // random
+      0xbd07fc7fb0bcb70aULL,  // preferential
+      0x7eb42597dc49cd0eULL,  // ring-repair
+  };
+  const auto large = relay::Topology::hypercube(12);
+  for (std::size_t p = 0; p < 3; ++p) {
+    const auto schedule = relay::TopologySchedule::generate(
+        large, churn_policy(0.1, 0, reconnects[p]), 12, 1);
+    EXPECT_EQ(schedule.digest(), kLargeDigest[p])
+        << "hypercube(12), reconnect " << p;
+  }
 }
 
 TEST(Schedule, DisconnectedInitialGraphKeepsWholeGraphCheck) {
@@ -199,10 +215,12 @@ TEST(Schedule, EveryEpochGraphIsLiveConnectedWithIsolatedDownNodes) {
       ASSERT_EQ(down.size(), graph.n());
       // The beacon anchor (node n-1) never leaves.
       EXPECT_FALSE(down[graph.n() - 1]) << "epoch " << e;
-      for (NodeId v = 0; v < graph.n(); ++v)
-        if (down[v])
+      for (NodeId v = 0; v < graph.n(); ++v) {
+        if (down[v]) {
           EXPECT_TRUE(graph.neighbors(v).empty())
               << "down node " << v << " keeps edges at epoch " << e;
+        }
+      }
       expect_live_connected(graph, down);
     }
   }
@@ -402,11 +420,13 @@ TEST(Dynamic, LocalSkewIsBoundedByGlobalSkewRowWise) {
     if (result.rounds_completed == 0) continue;
     EXPECT_TRUE(std::isfinite(result.local_skew)) << spec.name();
     EXPECT_LE(result.local_skew, result.max_skew + 1e-12) << spec.name();
-    if (spec.world == WorldKind::kComplete)
+    if (spec.world == WorldKind::kComplete) {
       EXPECT_EQ(result.local_skew, result.max_skew);
-    if (std::isfinite(result.predicted_skew) && result.predicted_skew > 0.0)
+    }
+    if (std::isfinite(result.predicted_skew) && result.predicted_skew > 0.0) {
       EXPECT_NEAR(result.local_skew_ratio,
                   result.local_skew / result.predicted_skew, 1e-12);
+    }
   }
 }
 
@@ -838,6 +858,81 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
 
   for (const auto& p : {clean_csv, clean_manifest, csv, manifest})
     std::filesystem::remove(p);
+}
+
+/// FNV-1a over the raw bytes of one value, fixed across platforms.
+template <typename T>
+std::uint64_t fold_bytes(std::uint64_t h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Dynamic, EdgeMetricColumnsPinned) {
+  // The four columns the edge-metric walk writes, pinned bit for bit over
+  // probe and gradient cells on a churned hypercube (rewires, leaves, both
+  // reconnect policies, one static cell) and over search cells whose kept
+  // candidate is one of several graded attack schedules.
+  SweepGrid churned;
+  churned.worlds = {WorldKind::kRelay};
+  churned.protocols = {baselines::ProtocolKind::kFloodProbe,
+                       baselines::ProtocolKind::kGradient};
+  churned.ns = {32};
+  churned.fault_loads = {0};
+  churned.topologies = {TopologyKind::kHypercube};
+  churned.cryptos = {CryptoMode::kAbstract};
+  churned.delays = {sim::DelayKind::kSplit};
+  churned.churn_rates = {0.0, 0.1};
+  churned.join_batches = {0, 2};
+  churned.reconnects = {relay::ReconnectPolicy::kRandom,
+                        relay::ReconnectPolicy::kRingRepair};
+  churned.rounds = 10;
+  churned.warmup = 2;
+
+  SweepGrid search;
+  search.worlds = {WorldKind::kRelay};
+  search.protocols = {baselines::ProtocolKind::kSrikanthToueg};
+  search.ns = {16};
+  search.fault_loads = {SweepGrid::kMaxResilience};
+  search.topologies = {TopologyKind::kChordalRing, TopologyKind::kHypercube};
+  search.cryptos = {CryptoMode::kAbstract};
+  search.relay_faults = {relay::RelayFaultKind::kSearch};
+  search.search_budgets = {4};
+  search.delays = {sim::DelayKind::kMax};
+  search.us = {0.01};
+  search.varthetas = {1.001};
+  search.churn_rates = {0.0, 0.1};
+  search.rounds = 8;
+  search.warmup = 2;
+
+  auto specs = churned.expand();
+  const auto search_specs = search.expand();
+  specs.insert(specs.end(), search_specs.begin(), search_specs.end());
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t measured = 0;
+  std::size_t searched = 0;
+  std::size_t churned_cells = 0;
+  for (const auto& spec : specs) {
+    const auto r = run_scenario(spec);
+    ASSERT_TRUE(r.error.empty()) << spec.name() << ": " << r.error;
+    digest = fold_bytes(digest, r.local_skew);
+    digest = fold_bytes(digest, r.kllo_ratio);
+    digest = fold_bytes(digest, static_cast<std::uint64_t>(r.kllo_violations));
+    digest = fold_bytes(digest, r.edge_age_min);
+    if (r.rounds_completed > 0) ++measured;
+    if (r.attack_iters > 1) ++searched;
+    if (spec.dynamic()) ++churned_cells;
+  }
+  EXPECT_EQ(specs.size(), 18u);
+  EXPECT_EQ(measured, 18u);
+  EXPECT_GT(searched, 0u);
+  EXPECT_GT(churned_cells, 0u);
+  EXPECT_EQ(digest, 0x35e4fdf09606f3dfULL);
 }
 
 TEST(History, GradientTokensAreOptionalAndRoundTrip) {
