@@ -1,5 +1,6 @@
 // E10 — substrate micro-benchmarks (google-benchmark): event queue, hardware
-// clocks, crypto, and end-to-end CPS simulation throughput.
+// clocks, crypto, churn-schedule generation, and end-to-end CPS simulation
+// throughput.
 
 #include <benchmark/benchmark.h>
 #include <cstddef>
@@ -9,6 +10,8 @@
 #include "bench_common.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "relay/schedule.hpp"
+#include "relay/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/hardware_clock.hpp"
 
@@ -100,6 +103,29 @@ void BM_SymbolicSign(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SymbolicSign);
+
+/// One churned cell's set-up: a seeded schedule on a 512-node hypercube at
+/// churn 0.1 with 4 leaves per epoch over 14 epochs. Each rewire runs one
+/// bridge check and each leave one reachability check over the live graph.
+void BM_ScheduleGenerate(benchmark::State& state) {
+  const auto topo = relay::Topology::hypercube(9);
+  relay::ChurnPolicy policy;
+  policy.churn_rate = 0.1;
+  policy.join_batch = 4;
+  policy.reconnect = relay::ReconnectPolicy::kRandom;
+  std::size_t changes = 0;
+  for (auto _ : state) {
+    const auto schedule =
+        relay::TopologySchedule::generate(topo, policy, 14, 1);
+    changes = 0;
+    for (const auto& delta : schedule.deltas())
+      changes += delta.added.size() + delta.removed.size();
+    benchmark::DoNotOptimize(changes);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["edge_changes"] = static_cast<double>(changes);
+}
+BENCHMARK(BM_ScheduleGenerate)->Unit(benchmark::kMillisecond);
 
 /// End-to-end: one full CPS world (n nodes, 10 pulse rounds). Items = engine
 /// events processed, so the counter reports simulator events/second.

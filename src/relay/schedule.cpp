@@ -53,7 +53,8 @@ struct DeltaBuilder {
 
 /// Early-exit BFS over the non-down nodes: reaches(topo, down, from, targets)
 /// is true iff every target is reachable from `from`, and stops at the last
-/// target found. Down nodes are isolated by construction, so this walks the
+/// target found; linked(topo, down, a, b) answers the single-target case from
+/// both ends. Down nodes are isolated by construction, so this walks the
 /// graph the protocol actually runs on. Marks are stamped per call, so the
 /// scratch is never cleared and a check costs only the nodes it visits.
 class LiveReach {
@@ -63,13 +64,8 @@ class LiveReach {
   [[nodiscard]] bool reaches(const Topology& topo,
                              const std::vector<bool>& down, NodeId from,
                              std::span<const NodeId> targets) {
-    if (stamp_ > std::numeric_limits<std::uint32_t>::max() - 2) {
-      std::fill(mark_.begin(), mark_.end(), 0);
-      stamp_ = 0;
-    }
-    stamp_ += 2;
-    const std::uint32_t wanted = stamp_;
-    const std::uint32_t seen = stamp_ + 1;
+    const std::uint32_t wanted = next_stamps();
+    const std::uint32_t seen = wanted + 1;
     std::size_t pending = 0;
     for (const NodeId t : targets) {
       if (t == from || mark_[t] == wanted) continue;
@@ -90,6 +86,38 @@ class LiveReach {
     return false;
   }
 
+  /// Two-ended reaches(topo, down, a, {a, b}): grows the smaller of the two
+  /// frontiers one BFS level at a time, each side stamping its own mark. True
+  /// when a frontier touches the other side's mark, false when either
+  /// frontier runs dry (that side's component is closed without the other).
+  [[nodiscard]] bool linked(const Topology& topo, const std::vector<bool>& down,
+                            NodeId a, NodeId b) {
+    if (a == b) return true;
+    const std::uint32_t side_a = next_stamps();
+    const std::uint32_t side_b = side_a + 1;
+    mark_[a] = side_a;
+    mark_[b] = side_b;
+    front_a_.assign(1, a);
+    front_b_.assign(1, b);
+    while (!front_a_.empty() && !front_b_.empty()) {
+      const bool grow_a = front_a_.size() <= front_b_.size();
+      std::vector<NodeId>& front = grow_a ? front_a_ : front_b_;
+      const std::uint32_t mine = grow_a ? side_a : side_b;
+      const std::uint32_t theirs = grow_a ? side_b : side_a;
+      queue_.clear();
+      for (const NodeId v : front) {
+        for (const NodeId w : topo.neighbors(v)) {
+          if (down[w] || mark_[w] == mine) continue;
+          if (mark_[w] == theirs) return true;
+          mark_[w] = mine;
+          queue_.push_back(w);
+        }
+      }
+      front.swap(queue_);
+    }
+    return false;
+  }
+
   /// Whole-graph check: every live node reaches every other.
   [[nodiscard]] bool live_connected(const Topology& topo,
                                     const std::vector<bool>& down) {
@@ -100,11 +128,30 @@ class LiveReach {
   }
 
  private:
+  /// Two fresh stamps, s and s + 1, that no mark carries yet.
+  [[nodiscard]] std::uint32_t next_stamps() {
+    if (stamp_ > std::numeric_limits<std::uint32_t>::max() - 2) {
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 0;
+    }
+    stamp_ += 2;
+    return stamp_;
+  }
+
   std::vector<std::uint32_t> mark_;
   std::uint32_t stamp_ = 0;
   std::vector<NodeId> queue_;
+  std::vector<NodeId> front_a_;
+  std::vector<NodeId> front_b_;
   std::vector<NodeId> live_;
 };
+
+/// The entry for edge {lo, hi} in lo's EdgeAgeTracker birth row, or end().
+template <typename Row>
+[[nodiscard]] auto find_birth(Row& row, NodeId hi) {
+  return std::find_if(row.begin(), row.end(),
+                      [hi](const auto& e) { return e.hi == hi; });
+}
 
 /// Uniform live node, or kInvalidNode when the bounded rejection sampling
 /// fails (only possible when almost everything is down).
@@ -199,14 +246,18 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
   // Generation keeps the live graph connected before every cut (rejoins
   // attach to a live partner, rewires and leaves are checked), so a cut
   // needs only a local check: dropping edge {a, b} keeps the graph
-  // connected iff a still reaches b, and dropping node v iff v's former
-  // neighbors still reach each other. A disconnected initial graph has no
-  // such invariant and gets the whole-graph check.
+  // connected iff a still reaches b (searched from both ends), and dropping
+  // node v iff v's former neighbors still reach each other. A disconnected
+  // initial graph has no such invariant and gets the whole-graph check.
   LiveReach reach(n);
   const bool local_checks = reach.live_connected(cur, down);
   const auto still_connected = [&](std::span<const NodeId> group) {
     if (!local_checks) return reach.live_connected(cur, down);
     return group.empty() || reach.reaches(cur, down, group.front(), group);
+  };
+  const auto still_linked = [&](NodeId a, NodeId b) {
+    if (!local_checks) return reach.live_connected(cur, down);
+    return reach.linked(cur, down, a, b);
   };
 
   for (std::uint32_t epoch = 0; epoch < epochs; ++epoch) {
@@ -256,8 +307,7 @@ TopologySchedule TopologySchedule::generate(const Topology& initial,
       if (a == kInvalidNode || cur.neighbors(a).empty()) continue;
       const NodeId b = cur.neighbors(a)[rng.below(cur.neighbors(a).size())];
       cur.remove_edge(a, b);
-      const NodeId ends[] = {a, b};
-      if (!still_connected(ends)) {
+      if (!still_linked(a, b)) {
         cur.add_edge(a, b);  // revert: this edge is a live-graph bridge
         continue;
       }
@@ -349,27 +399,44 @@ std::vector<bool> TopologySchedule::ever_churned() const {
 }
 
 EdgeAgeTracker::EdgeAgeTracker(const Topology& initial)
-    : topo_(initial), down_(initial.n(), false) {
+    : topo_(initial), down_(initial.n(), false), births_(initial.n()) {
   for (NodeId v = 0; v < topo_.n(); ++v) {
     for (const NodeId w : topo_.neighbors(v)) {
-      if (w > v) birth_.emplace(key(v, w), 0);
+      if (w > v) births_[v].push_back({w, 0});
     }
   }
 }
 
 void EdgeAgeTracker::apply(const EpochDelta& delta) {
-  TopologySchedule::apply(delta, topo_, down_);
+  TopologySchedule::apply(delta, topo_, down_);  // range-checks every edge
   // `removed` and `added` are disjoint, so the birth bookkeeping may follow
-  // the whole delta.
-  for (const auto& [a, b] : delta.removed) birth_.erase(key(a, b));
+  // the whole delta. A delta may only remove live edges and only add edges
+  // that are not live: the replay it describes must be exact.
+  for (const auto& [a, b] : delta.removed) {
+    std::vector<Birth>& row = births_[std::min(a, b)];
+    const auto it = find_birth(row, std::max(a, b));
+    CS_CHECK_MSG(it != row.end(), "epoch delta removes edge "
+                                      << a << "-" << b
+                                      << ", which is not live");
+    *it = row.back();
+    row.pop_back();
+  }
   ++epoch_;  // edges added by delta e are first live at epoch e + 1
-  for (const auto& [a, b] : delta.added) birth_[key(a, b)] = epoch_;
+  for (const auto& [a, b] : delta.added) {
+    std::vector<Birth>& row = births_[std::min(a, b)];
+    CS_CHECK_MSG(find_birth(row, std::max(a, b)) == row.end(),
+                 "epoch delta adds edge " << a << "-" << b
+                                          << ", which is already live");
+    row.push_back({std::max(a, b), epoch_});
+  }
 }
 
 std::uint64_t EdgeAgeTracker::age(NodeId a, NodeId b) const {
-  const auto it = birth_.find(key(a, b));
-  CS_CHECK(it != birth_.end());
-  return static_cast<std::uint64_t>(epoch_) - it->second;
+  CS_CHECK(a < births_.size() && b < births_.size());
+  const std::vector<Birth>& row = births_[std::min(a, b)];
+  const auto it = find_birth(row, std::max(a, b));
+  CS_CHECK_MSG(it != row.end(), "edge " << a << "-" << b << " is not live");
+  return static_cast<std::uint64_t>(epoch_ - it->epoch);
 }
 
 std::uint64_t TopologySchedule::digest() const noexcept {

@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -143,12 +142,19 @@ class TopologySchedule {
 /// This is the KLLO notion of edge stabilization time: the envelope gate
 /// grants a freshly (re)appeared edge a wide allowance that tightens to the
 /// O(log n) gradient bound as the edge ages past the stabilization window.
+///
+/// Births are dense: one row of (higher endpoint, birth epoch) per lower
+/// endpoint, so a lookup or removal scans about one degree. apply() checks
+/// the delta against the live edge set — every removed edge is live, no
+/// added edge is — and names the offending edge when it is not; RelayWorld
+/// replays every delta through a tracker, so every churned cell runs it.
 class EdgeAgeTracker {
  public:
   explicit EdgeAgeTracker(const Topology& initial);
 
   /// Apply one epoch delta (joins → removed → added → leaves), advancing the
-  /// current epoch by one.
+  /// current epoch by one. Throws (CS_CHECK) on a delta that removes an edge
+  /// that is not live or adds one that already is.
   void apply(const EpochDelta& delta);
   /// Advance one epoch with no delta: every age grows, nothing else changes.
   void advance() noexcept { ++epoch_; }
@@ -157,20 +163,22 @@ class EdgeAgeTracker {
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
   [[nodiscard]] const std::vector<bool>& down() const noexcept { return down_; }
   /// Epochs since the live edge {a, b} last appeared. Asking about an edge
-  /// that is not currently live is a programming error.
+  /// that is not currently live is a programming error (CS_CHECK).
   [[nodiscard]] std::uint64_t age(NodeId a, NodeId b) const;
 
  private:
-  [[nodiscard]] static std::uint64_t key(NodeId a, NodeId b) noexcept {
-    const NodeId lo = a < b ? a : b;
-    const NodeId hi = a < b ? b : a;
-    return (static_cast<std::uint64_t>(lo) << 32) | hi;
-  }
+  /// A live edge {lo, hi} in lo's row, with the epoch it last appeared at.
+  struct Birth {
+    NodeId hi;
+    std::size_t epoch;
+  };
 
   Topology topo_;
   std::vector<bool> down_;
   std::size_t epoch_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> birth_;  ///< edge → epoch
+  /// One row per lower endpoint; a row is about one degree long, so
+  /// removal and lookup scan it.
+  std::vector<std::vector<Birth>> births_;
 };
 
 }  // namespace crusader::relay

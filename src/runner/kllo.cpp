@@ -26,58 +26,64 @@ double kllo_envelope(std::uint64_t edge_age, std::uint32_t n,
   return base + std::max(0.0, params.global - base) * decay;
 }
 
-KlloConformance kllo_conformance(const sim::PulseTrace& trace,
-                                 const relay::TopologySchedule& schedule,
-                                 const KlloEnvelopeParams& params) {
-  KlloConformance out;
-  out.ratio = kNan;
-  out.edge_age_min = kNan;
+EdgeMetrics edge_metrics(const sim::PulseTrace& trace,
+                         const relay::Topology& initial,
+                         std::span<const relay::EpochDelta> deltas,
+                         const KlloEnvelopeParams& params) {
   const std::size_t rounds = trace.complete_rounds();
   const std::uint32_t n = trace.n();
+  EdgeMetrics out{std::vector<double>(rounds, 0.0), {kNan, 0, kNan}};
   if (rounds == 0) return out;
 
-  double worst = kNan;
-  double last_round_min_age = kNan;
+  // An edge's age at round r is at most r, so one table covers every edge.
+  std::vector<double> env(rounds);
+  for (std::size_t age = 0; age < rounds; ++age)
+    env[age] = kllo_envelope(age, n, params);
+  std::vector<char> faulty(n);
+  for (NodeId v = 0; v < n; ++v) faulty[v] = trace.is_faulty(v) ? 1 : 0;
+  std::vector<char> measured(n);
+  std::vector<double> pulse(n);
+  KlloConformance& kllo = out.kllo;
 
-  // Grade round r on the epoch-r graph with every live edge's current age,
-  // then advance one epoch — the same mapping as local_skew_series, with
-  // the EdgeAgeTracker carrying the per-edge birth bookkeeping.
+  // Round r on the epoch-r graph, every live edge at its current age.
   const auto grade = [&](std::size_t r, const relay::Topology& topo,
                          const std::vector<bool>& down, const auto& age_of) {
+    for (NodeId v = 0; v < n; ++v) {
+      measured[v] = !down[v] && !faulty[v];
+      if (measured[v]) pulse[v] = trace.pulse_time(v, r);
+    }
+    double worst = 0.0;
     double min_age = kNan;
     for (NodeId v = 0; v < n; ++v) {
-      if (down[v] || trace.is_faulty(v)) continue;
+      if (!measured[v]) continue;
       for (const NodeId w : topo.neighbors(v)) {
-        if (w < v || down[w] || trace.is_faulty(w)) continue;
+        if (w < v || !measured[w]) continue;
+        const double skew = std::abs(pulse[v] - pulse[w]);
+        worst = std::max(worst, skew);
         const std::uint64_t age = age_of(v, w);
-        const double env = kllo_envelope(age, n, params);
-        const double skew =
-            std::abs(trace.pulse_time(v, r) - trace.pulse_time(w, r));
-        const double ratio = env > 0.0
-                                 ? skew / env
-                                 : (skew > 0.0
-                                        ? std::numeric_limits<double>::infinity()
-                                        : 0.0);
-        if (!(ratio <= worst)) worst = ratio;  // NaN-safe max
-        if (ratio > 1.0 + 1e-9) ++out.violations;
+        const double allowance = env[age];
+        const double ratio =
+            allowance > 0.0
+                ? skew / allowance
+                : (skew > 0.0 ? std::numeric_limits<double>::infinity() : 0.0);
+        if (!(ratio <= kllo.ratio)) kllo.ratio = ratio;  // NaN-safe max
+        if (ratio > 1.0 + 1e-9) ++kllo.violations;
         const auto age_d = static_cast<double>(age);
         if (!(age_d >= min_age)) min_age = age_d;  // NaN-safe min
       }
     }
-    if (r + 1 == rounds) last_round_min_age = min_age;
+    out.local_skew[r] = worst;
+    if (r + 1 == rounds) kllo.edge_age_min = min_age;
   };
 
-  if (!schedule.dynamic()) {
-    // Static fast path: every edge is live since epoch 0, so its age at
-    // round r is r — no birth map needed (this path also runs the very
-    // large static cells, where a per-edge map would be real memory).
-    const relay::Topology& topo = schedule.initial();
+  if (deltas.empty()) {
+    // Static: every edge is live since epoch 0, so its age at round r is r —
+    // no births to track (this path also runs the very large static cells).
     const std::vector<bool> down(n, false);
     for (std::size_t r = 0; r < rounds; ++r)
-      grade(r, topo, down, [&](NodeId, NodeId) { return r; });
+      grade(r, initial, down, [r](NodeId, NodeId) { return r; });
   } else {
-    relay::EdgeAgeTracker tracker(schedule.initial());
-    const auto& deltas = schedule.deltas();
+    relay::EdgeAgeTracker tracker(initial);
     for (std::size_t r = 0; r < rounds; ++r) {
       grade(r, tracker.topology(), tracker.down(),
             [&](NodeId v, NodeId w) { return tracker.age(v, w); });
@@ -87,10 +93,14 @@ KlloConformance kllo_conformance(const sim::PulseTrace& trace,
         tracker.advance();
     }
   }
-
-  out.ratio = worst;
-  out.edge_age_min = last_round_min_age;
   return out;
+}
+
+KlloConformance kllo_conformance(const sim::PulseTrace& trace,
+                                 const relay::TopologySchedule& schedule,
+                                 const KlloEnvelopeParams& params) {
+  return edge_metrics(trace, schedule.initial(), schedule.deltas(), params)
+      .kllo;
 }
 
 }  // namespace crusader::runner

@@ -17,9 +17,17 @@
 // protocol actually ran against, and G is the fresh-edge (global) allowance
 // n·σ. `stab_mult` is the sweep axis: 1.0 is the paper-faithful default,
 // larger values grant churned edges a longer settling window.
+//
+// A cell's edge metrics come from one walk (edge_metrics): the schedule is
+// replayed once, each live measured edge's |p_v − p_w| feeds both the
+// per-round local skew and the envelope ratio, and env(age, n) is read from
+// a per-cell table over ages 0 … rounds − 1 (an edge's age at round r is at
+// most r), so the per-edge cost is a subtraction, a lookup and a divide.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "relay/schedule.hpp"
 #include "sim/trace.hpp"
@@ -51,11 +59,27 @@ struct KlloConformance {
   double edge_age_min;
 };
 
-/// Replay `schedule` next to `trace` (the same round-r-on-at_epoch(r)
-/// mapping as local_skew_series) and grade every live edge of every complete
-/// round against the envelope at that edge's current age. Down nodes and
-/// metric-excluded (faulty / ever-churned) nodes are skipped, exactly like
-/// the local-skew walk. Exposed for the hand-replay tests.
+/// Both per-cell edge metrics of one run.
+struct EdgeMetrics {
+  /// Per complete round r: max over live measured edges of |p_v(r) − p_w(r)|
+  /// (0 when no edge is measured).
+  std::vector<double> local_skew;
+  KlloConformance kllo;
+};
+
+/// Replays the schedule (`initial`, then `deltas`) next to `trace` — round r
+/// is measured on the epoch-r graph, delta r then advances the graph — and
+/// computes each live measured edge's |p_v − p_w| once for both metrics: the
+/// round's local skew, and its ratio to the envelope at the edge's current
+/// age. Down nodes and metric-excluded (faulty / ever-churned) nodes are
+/// skipped. A static cell passes its topology with no deltas: every edge's
+/// age at round r is then r.
+[[nodiscard]] EdgeMetrics edge_metrics(
+    const sim::PulseTrace& trace, const relay::Topology& initial,
+    std::span<const relay::EpochDelta> deltas,
+    const KlloEnvelopeParams& params);
+
+/// edge_metrics(...).kllo over a whole schedule.
 [[nodiscard]] KlloConformance kllo_conformance(
     const sim::PulseTrace& trace, const relay::TopologySchedule& schedule,
     const KlloEnvelopeParams& params);

@@ -272,10 +272,10 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
     config.epoch_length = setup.round_length;
   }
 
-  // One world run under a given attack seed, filling `out` (a copy of the
-  // NaN-initialized base result) with every post-run metric. Oblivious
-  // kinds ignore the attack seed entirely, so seed 0 is the historical
-  // single run.
+  // One world run under a given attack seed: fills `out` (a copy of the
+  // NaN-initialized base result) with the counts and the global skew fields
+  // and returns the trace for grade_edges. Oblivious kinds ignore the attack
+  // seed entirely, so seed 0 is the historical single run.
   auto run_candidate = [&](std::uint64_t attack_seed, ScenarioResult& out) {
     relay::RelayConfig candidate = config;
     candidate.attack_seed = attack_seed;
@@ -283,7 +283,7 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
                             baselines::make_protocol_factory(
                                 setup, static_cast<Round>(spec.rounds)),
                             effective);
-    const relay::RelayRunResult run = world.run();
+    relay::RelayRunResult run = world.run();
 
     out.live = run.trace.live(spec.rounds);
     out.rounds_completed = run.trace.complete_rounds();
@@ -296,33 +296,38 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
       fill_skew_metrics(run.trace, spec, out);
       out.within_bound =
           out.max_skew <= out.predicted_skew + options.bound_tolerance;
-      const relay::TopologySchedule measure_schedule =
-          dynamic ? *schedule
-                  : relay::TopologySchedule::static_schedule(config.topology);
-      const std::vector<double> series =
-          local_skew_series(run.trace, measure_schedule);
-      if (!series.empty())
-        out.local_skew = *std::max_element(series.begin(), series.end());
-      // Per-edge-age envelope conformance. sigma is the per-round
-      // uncertainty an adjacent pair accumulates under the effective model;
-      // the global allowance n·sigma is what a node that just (re)connected
-      // may lag by before the protocol has had any rounds to pull it in.
-      KlloEnvelopeParams params;
-      params.sigma = effective.model.u +
-                     (effective.model.vartheta - 1.0) * setup.round_length;
-      params.global = static_cast<double>(spec.n) * params.sigma;
-      params.stab_mult = spec.kllo_stab;
-      const KlloConformance kllo =
-          kllo_conformance(run.trace, measure_schedule, params);
-      out.kllo_ratio = kllo.ratio;
-      out.kllo_violations = kllo.violations;
-      out.edge_age_min = kllo.edge_age_min;
     }
+    return std::move(run.trace);
+  };
+
+  // The kept candidate's edge metrics, from one replay of the schedule: the
+  // per-round local skew and the per-edge-age envelope conformance. sigma is
+  // the per-round uncertainty an adjacent pair accumulates under the
+  // effective model; the global allowance n·sigma is what a node that just
+  // (re)connected may lag by before the protocol has had any rounds to pull
+  // it in.
+  auto grade_edges = [&](const sim::PulseTrace& trace, ScenarioResult& out) {
+    if (out.rounds_completed == 0) return;
+    KlloEnvelopeParams params;
+    params.sigma = effective.model.u +
+                   (effective.model.vartheta - 1.0) * setup.round_length;
+    params.global = static_cast<double>(spec.n) * params.sigma;
+    params.stab_mult = spec.kllo_stab;
+    const EdgeMetrics metrics =
+        dynamic ? edge_metrics(trace, schedule->initial(), schedule->deltas(),
+                               params)
+                : edge_metrics(trace, config.topology, {}, params);
+    out.local_skew =
+        *std::max_element(metrics.local_skew.begin(), metrics.local_skew.end());
+    out.kllo_ratio = metrics.kllo.ratio;
+    out.kllo_violations = metrics.kllo.violations;
+    out.edge_age_min = metrics.kllo.edge_age_min;
   };
 
   const bool adaptive = relay::adaptive(spec.relay_fault) && spec.f_actual > 0;
   if (!adaptive) {
-    run_candidate(0, result);  // attack_iters/attack_best_seed stay 0
+    // attack_iters/attack_best_seed stay 0
+    grade_edges(run_candidate(0, result), result);
     return;
   }
 
@@ -330,15 +335,16 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
   // cell under budget−1 further seeded attack schedules and keeps the argmax
   // max_skew (≡ argmax skew_ratio — the denominator is per-cell constant;
   // strict > keeps the earliest candidate on ties, so search with any budget
-  // weakly dominates greedy by construction). Candidate seeds derive from
-  // the scenario seed, never wall-clock, so a killed campaign resumes to the
-  // byte-identical row.
+  // weakly dominates greedy by construction). Only the kept candidate's
+  // edges are graded. Candidate seeds derive from the scenario seed, never
+  // wall-clock, so a killed campaign resumes to the byte-identical row.
   const std::uint32_t budget =
       spec.relay_fault == relay::RelayFaultKind::kSearch
           ? std::max(spec.search_budget, 1u)
           : 1u;
   const ScenarioResult base = result;
   std::optional<ScenarioResult> best;
+  sim::PulseTrace best_trace;
   double best_score = -std::numeric_limits<double>::infinity();
   std::uint64_t best_seed = 0;
   for (std::uint32_t k = 0; k < budget; ++k) {
@@ -348,18 +354,20 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
       if (attack_seed == 0) attack_seed = 1;  // 0 is the greedy sentinel
     }
     ScenarioResult candidate = base;
-    run_candidate(attack_seed, candidate);
+    sim::PulseTrace trace = run_candidate(attack_seed, candidate);
     const double score =
         candidate.rounds_completed > 0 && std::isfinite(candidate.max_skew)
             ? candidate.max_skew
             : -std::numeric_limits<double>::infinity();
     if (!best || score > best_score) {
       best = std::move(candidate);
+      best_trace = std::move(trace);
       best_score = score;
       best_seed = attack_seed;
     }
   }
   result = *best;
+  grade_edges(best_trace, result);
   result.attack_iters = budget;
   result.attack_best_seed = best_seed;
 }
@@ -469,29 +477,8 @@ std::uint64_t scenario_seed(const ScenarioSpec& spec,
 
 std::vector<double> local_skew_series(const sim::PulseTrace& trace,
                                       const relay::TopologySchedule& schedule) {
-  const std::size_t rounds = trace.complete_rounds();
-  const std::uint32_t n = trace.n();
-  std::vector<double> series(rounds, 0.0);
-  // Walk the schedule incrementally: round r is measured on at_epoch(r),
-  // then delta r advances the graph for round r + 1.
-  relay::Topology topo = schedule.initial();
-  std::vector<bool> down(n, false);
-  const auto& deltas = schedule.deltas();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    double worst = 0.0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (down[v] || trace.is_faulty(v)) continue;
-      for (const NodeId w : topo.neighbors(v)) {
-        if (w < v || down[w] || trace.is_faulty(w)) continue;
-        worst = std::max(worst, std::abs(trace.pulse_time(v, r) -
-                                         trace.pulse_time(w, r)));
-      }
-    }
-    series[r] = worst;
-    if (r < deltas.size())
-      relay::TopologySchedule::apply(deltas[r], topo, down);
-  }
-  return series;
+  return edge_metrics(trace, schedule.initial(), schedule.deltas(), {})
+      .local_skew;
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec,

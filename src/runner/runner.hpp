@@ -185,7 +185,8 @@ void run_sweep_streamed(const std::vector<ScenarioSpec>& specs,
 /// Per-round local skew: for each complete round r, the worst |p_i(r) −
 /// p_j(r)| over edges of the round-r graph (schedule.at_epoch(r), down
 /// nodes and metrics-excluded nodes skipped). Static topologies pass a
-/// degenerate schedule. Exposed for the dynamic-world tests, which assert
+/// degenerate schedule. edge_metrics(...).local_skew (runner/kllo.hpp) over
+/// the whole schedule; exposed for the dynamic-world tests, which assert
 /// the series exists for every complete round and never exceeds the global
 /// per-round skew.
 [[nodiscard]] std::vector<double> local_skew_series(

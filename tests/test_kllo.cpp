@@ -3,7 +3,8 @@
 // age 0 gets the full global settling allowance, the allowance decays
 // linearly and is gone after the stabilization window, the settled band
 // scales as O(log n), and the stabilization multiplier stretches the
-// window without moving either endpoint.
+// window without moving either endpoint. The one-replay edge-metric walk is
+// pinned bit for bit against a reference pair of separate walks.
 
 #include <gtest/gtest.h>
 
@@ -328,18 +329,26 @@ TEST(EdgeMetrics, MatchTwoWalkReference) {
           const auto want = reference_kllo(trace, schedule, params);
           const auto series = local_skew_series(trace, schedule);
           const auto got = kllo_conformance(trace, schedule, params);
+          const auto both = edge_metrics(trace, schedule.initial(),
+                                         schedule.deltas(), params);
           const std::string where = "schedule " + std::to_string(s) +
                                     " rounds " + std::to_string(rounds) +
                                     " mask " + std::to_string(mask) +
                                     " sigma " + std::to_string(sigma);
           ASSERT_EQ(series.size(), want_series.size()) << where;
-          for (std::size_t r = 0; r < series.size(); ++r)
+          ASSERT_EQ(both.local_skew.size(), want_series.size()) << where;
+          for (std::size_t r = 0; r < series.size(); ++r) {
             EXPECT_TRUE(same_bits(series[r], want_series[r]))
                 << where << " round " << r;
-          EXPECT_TRUE(same_bits(got.ratio, want.ratio)) << where;
-          EXPECT_EQ(got.violations, want.violations) << where;
-          EXPECT_TRUE(same_bits(got.edge_age_min, want.edge_age_min))
-              << where;
+            EXPECT_TRUE(same_bits(both.local_skew[r], want_series[r]))
+                << where << " round " << r;
+          }
+          for (const KlloConformance& k : {got, both.kllo}) {
+            EXPECT_TRUE(same_bits(k.ratio, want.ratio)) << where;
+            EXPECT_EQ(k.violations, want.violations) << where;
+            EXPECT_TRUE(same_bits(k.edge_age_min, want.edge_age_min))
+                << where;
+          }
           graded += rounds > 0 ? 1 : 0;
           violations += want.violations;
         }

@@ -580,6 +580,35 @@ TEST(EdgeAge, LeaveAndRejoinRestartsTheClock) {
   EXPECT_EQ(tracker.age(2, 3), 1u);
 }
 
+TEST(EdgeAge, InconsistentDeltaIsRejectedNamingTheEdge) {
+  // A delta may only remove live edges and only add edges that are not live.
+  const auto expect_rejected = [](const relay::EpochDelta& delta,
+                                  const std::string& edge) {
+    relay::EdgeAgeTracker tracker(relay::Topology::ring(6));
+    try {
+      tracker.apply(delta);
+      ADD_FAILURE() << "delta touching " << edge << " was accepted";
+    } catch (const util::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(edge), std::string::npos)
+          << e.what();
+    }
+  };
+  relay::EpochDelta remove_absent;
+  remove_absent.removed = {{0, 3}};
+  expect_rejected(remove_absent, "0-3");
+  relay::EpochDelta add_live;
+  add_live.added = {{2, 1}};
+  expect_rejected(add_live, "2-1");
+
+  // A removal followed by its re-addition in one delta is consistent.
+  relay::EdgeAgeTracker tracker(relay::Topology::ring(6));
+  relay::EpochDelta readd;
+  readd.removed = {{0, 1}};
+  readd.added = {{1, 0}};
+  EXPECT_NO_THROW(tracker.apply(readd));
+  EXPECT_EQ(tracker.age(0, 1), 0u);
+}
+
 TEST(EdgeAge, TrackerMatchesHandReplayForEveryReconnectPolicy) {
   const auto topo = relay::Topology::hypercube(4);
   for (const auto reconnect : {relay::ReconnectPolicy::kRandom,
