@@ -4,14 +4,21 @@
 //                [--theta T] [--strategy crash|echo-rush|split|pull-early|
 //                 pull-late|replay|random|greedy-skew] [--rounds R] [--seed S]
 //                [--clocks nominal|spread|walk] [--delays max|min|random|split]
-//                [--topology complete|ring|chordal|cliques]
+//                [--topology complete|ring|chordal-ring|ring-of-cliques|
+//                 hypercube|random]
 //                [--lower-bound] [--u-tilde U] [--csv]
+//
+// Enum flags take sweep_cli's spellings (runner::parse_*). A --topology other
+// than complete runs the protocol over sweep_cli's relay graph of that family
+// (crashing the --faulty relays) instead of the complete world; a size the
+// family does not come in exits 2.
 //
 // Examples:
 //   crusader_cli --n 9 --faulty 4 --strategy split
 //   crusader_cli --protocol st --n 7 --faulty 3
 //   crusader_cli --lower-bound --u-tilde 0.3
 //   crusader_cli --topology cliques --n 12 --faulty 2
+//   crusader_cli --protocol st --topology ring --n 8 --faulty 1
 
 #include <algorithm>
 #include <cstddef>
@@ -19,7 +26,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,11 +33,11 @@
 #include "baselines/factories.hpp"
 #include "sim/trace_io.hpp"
 #include "core/adversaries.hpp"
-#include "core/cps.hpp"
 #include "lowerbound/theorem5.hpp"
 #include "relay/flood_world.hpp"
-#include "relay/topology.hpp"
+#include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "util/check.hpp"
 #include "util/table.hpp"
 
 using namespace crusader;
@@ -51,7 +57,7 @@ struct Options {
   std::uint64_t seed = 1;
   sim::ClockKind clocks = sim::ClockKind::kSpread;
   sim::DelayKind delays = sim::DelayKind::kRandom;
-  std::string topology = "complete";
+  runner::TopologyKind topology = runner::TopologyKind::kComplete;
   bool lower_bound = false;
   bool csv = false;
   std::string pulses_csv;  // --pulses-csv FILE: raw pulse trace export
@@ -79,7 +85,8 @@ void export_traces(const Options& opt, const sim::PulseTrace& trace) {
       "  [--strategy crash|echo-rush|split|pull-early|pull-late|replay|random|\n"
       "   greedy-skew] [--clocks nominal|spread|walk]\n"
       "  [--delays max|min|random|split]\n"
-      "  [--topology complete|ring|chordal|cliques] [--lower-bound] [--csv]\n";
+      "  [--topology complete|ring|chordal-ring|ring-of-cliques|hypercube|\n"
+      "   random] [--lower-bound] [--csv]\n";
   std::exit(2);
 }
 
@@ -141,7 +148,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--delays") {
       opt.delays = need(runner::parse_delay_kind);
     } else if (arg == "--topology") {
-      opt.topology = text();
+      opt.topology = need(runner::parse_topology);
     } else if (arg == "--lower-bound") {
       opt.lower_bound = true;
     } else if (arg == "--csv") {
@@ -199,53 +206,55 @@ int run_lower_bound(const Options& opt) {
 int run_sparse(const Options& opt, const sim::ModelParams& hop_model,
                std::uint32_t f_actual) {
   relay::RelayConfig config;
-  if (opt.topology == "ring") {
-    config.topology = relay::Topology::ring(opt.n);
-  } else if (opt.topology == "chordal") {
-    config.topology = relay::Topology::chordal_ring(opt.n, 3);
-  } else if (opt.topology == "cliques") {
-    if (opt.n % 4 != 0 || opt.n < 8) usage("cliques needs n divisible by 4, >= 8");
-    config.topology = relay::Topology::ring_of_cliques(opt.n / 4, 4, 2);
-  } else {
-    usage("unknown topology");
-  }
   config.hop_model = hop_model;
   // The fault budget a sparse topology can carry is set by its connectivity,
   // not by ⌈n/2⌉−1; tolerate exactly the requested faults.
   config.hop_model.f = std::max(f_actual, 1u);
+  runner::ScenarioSpec spec;
+  spec.topology = opt.topology;
+  spec.n = opt.n;
+  spec.f = config.hop_model.f;
+  const std::string family = runner::to_string(opt.topology);
+  try {
+    config.topology = runner::relay_topology(spec, opt.seed);
+  } catch (const util::CheckFailure&) {
+    usage("no " + family + " topology with n = " + std::to_string(opt.n));
+  }
   config.seed = opt.seed;
+  config.clock_kind = opt.clocks;
+  config.delay_kind = opt.delays;
   config.faulty = sim::default_faulty_set(f_actual);
 
-  const auto eff = relay::effective_model(config);
-  const auto params = core::derive_cps_params(eff);
-  if (!params.feasible) {
+  const auto effective = relay::compute_effective(config);
+  const auto setup = baselines::make_setup(opt.protocol, effective.model);
+  if (!setup.feasible) {
     std::cerr << "infeasible effective parameters\n";
     return 1;
   }
-  config.initial_offset = params.S;
-  config.horizon = params.S + (opt.rounds + 2) * params.p_max;
+  config.initial_offset = setup.initial_offset;
+  config.horizon = setup.initial_offset +
+                   static_cast<double>(opt.rounds + 2) * setup.round_length;
 
-  core::CpsConfig cps;
-  cps.params = params;
-  relay::RelayWorld world(config, [cps](NodeId) {
-    return std::make_unique<core::CpsNode>(cps);
-  });
+  relay::RelayWorld world(config, baselines::make_protocol_factory(setup),
+                          effective);
   const auto result = world.run();
 
-  util::Table table("CPS over sparse topology '" + opt.topology + "'");
+  util::Table table(std::string(baselines::to_string(opt.protocol)) +
+                    " over sparse topology '" + family + "'");
   table.set_header({"metric", "value", "bound"});
   table.add_row({"worst hops D_f", std::to_string(result.worst_hops), "-"});
   table.add_row({"d_eff / u_eff",
-                 util::Table::num(eff.d, 3) + " / " + util::Table::num(eff.u, 3),
+                 util::Table::num(effective.model.d, 3) + " / " +
+                     util::Table::num(effective.model.u, 3),
                  "-"});
   table.add_row({"rounds", std::to_string(result.trace.complete_rounds()), "-"});
   table.add_row({"worst skew", util::Table::num(result.trace.max_skew(), 4),
-                 util::Table::num(params.S, 4)});
+                 util::Table::num(setup.predicted_skew, 4)});
   table.add_row({"physical messages", std::to_string(result.physical_messages),
                  "-"});
   emit(table, opt.csv);
   export_traces(opt, result.trace);
-  return result.trace.max_skew() <= params.S + 1e-9 ? 0 : 1;
+  return result.trace.max_skew() <= setup.predicted_skew + 1e-9 ? 0 : 1;
 }
 
 }  // namespace
@@ -267,7 +276,8 @@ int main(int argc, char** argv) {
   const std::uint32_t f_actual = opt.faulty.value_or(model.f);
   if (f_actual > model.f) usage("--faulty exceeds the protocol's resilience");
 
-  if (opt.topology != "complete") return run_sparse(opt, model, f_actual);
+  if (opt.topology != runner::TopologyKind::kComplete)
+    return run_sparse(opt, model, f_actual);
 
   const auto setup = baselines::make_setup(opt.protocol, model);
   if (!setup.feasible) {

@@ -9,7 +9,12 @@
 //                 --budget-ms=2000 --history=ratios.txt --gate-trend=5
 //
 // Flags take `--key=value` or `--key value`. Axes (comma-separated lists
-// expand to the cross product):
+// expand to the cross product; SweepGrid::set_axis reads them, one row of
+// kAxisRows in runner/scenario.cpp per axis). Every axis list needs at least
+// one value — an empty one exits 2 rather than silently dropping the cells
+// that read the axis — except --u-tilde, where empty means ũ = u. Enum
+// values also take the names the output prints (CPS, Lynch-Welch,
+// Srikanth-Toueg):
 //   --world=complete,relay,theorem5  simulation worlds (complete graph /
 //                                    Appendix-A sparse relay / Theorem-5
 //                                    lower-bound construction)
@@ -117,10 +122,9 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "runner/campaign.hpp"
@@ -134,92 +138,30 @@ using namespace crusader;
 
 namespace {
 
-std::vector<std::string> split(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 int fail(const std::string& msg) {
   std::cerr << "sweep_cli: " << msg << "\n";
   return 2;
 }
 
-/// Strict numeric flag parsing: exits 2 naming the flag on anything
-/// std::from_chars does not consume completely — "abc", "1.5x", "-3" for
-/// unsigned flags, inf/nan, overflow. (Bare std::stod/std::stoul accept
-/// partial parses and wrap negatives, which is how "--gate=1.0x" used to
-/// gate at 1.0 silently.)
-struct FlagError {
-  std::string message;
-};
-
+/// Strict numeric scalar flags: anything std::from_chars does not consume
+/// completely — "abc", "1.5x", "-3" for unsigned flags, inf/nan, overflow —
+/// throws, and main exits 2 naming the flag. (Bare std::stod/std::stoul
+/// accept partial parses and wrap negatives, which is how "--gate=1.0x" used
+/// to gate at 1.0 silently.)
 double need_double(const std::string& key, const std::string& value) {
   const auto parsed = runner::parse_double_strict(value);
   if (!parsed)
-    throw FlagError{"bad numeric value for --" + key + ": '" + value + "'"};
+    throw std::invalid_argument("bad numeric value for --" + key + ": '" +
+                                value + "'");
   return *parsed;
 }
 
 std::uint64_t need_u64(const std::string& key, const std::string& value) {
   const auto parsed = runner::parse_u64_strict(value);
   if (!parsed)
-    throw FlagError{"bad numeric value for --" + key + ": '" + value + "'"};
+    throw std::invalid_argument("bad numeric value for --" + key + ": '" +
+                                value + "'");
   return *parsed;
-}
-
-/// Replaces an enum-valued axis with the comma-separated `value`, each item
-/// read by `parse`; the first item it rejects fails as "unknown <noun>".
-template <typename T>
-void parse_list(std::vector<T>& axis, const std::string& value,
-                std::optional<T> (*parse)(std::string_view),
-                const std::string& noun) {
-  axis.clear();
-  for (const auto& s : split(value)) {
-    const auto parsed = parse(s);
-    if (!parsed) throw FlagError{"unknown " + noun + " '" + s + "'"};
-    axis.push_back(*parsed);
-  }
-}
-
-/// Replaces a numeric axis with the comma-separated `value`. Each item is
-/// read by the strict `parse` (else "bad numeric value" naming the flag as
-/// typed) and must satisfy `in_range`, when given (else "--<flag> takes
-/// <takes>, got '<item>'", the flag dash-spelled); `required` fails an empty
-/// list instead of leaving the axis empty.
-template <typename T, typename Raw>
-void parse_numbers(std::vector<T>& axis, const std::string& key,
-                   const std::string& value,
-                   std::optional<Raw> (*parse)(std::string_view),
-                   std::type_identity_t<bool (*)(Raw)> in_range = nullptr,
-                   const std::string& takes = "", bool required = false) {
-  std::string flag = key;
-  std::replace(flag.begin(), flag.end(), '_', '-');
-  axis.clear();
-  for (const auto& s : split(value)) {
-    const auto raw = parse(s);
-    if (!raw)
-      throw FlagError{"bad numeric value for --" + key + ": '" + s + "'"};
-    if (in_range && !in_range(*raw))
-      throw FlagError{"--" + flag + " takes " + takes + ", got '" + s + "'"};
-    axis.push_back(static_cast<T>(*raw));
-  }
-  if (required && axis.empty())
-    throw FlagError{"--" + flag + " needs at least one value"};
-}
-
-/// "max" is kMaxResilience; counts past UINT32_MAX saturate just above it
-/// so the range check, not the sign of an int64 cast, rejects them.
-std::optional<std::int64_t> parse_fault_load(std::string_view s) {
-  if (s == "max") return runner::SweepGrid::kMaxResilience;
-  const auto count = runner::parse_u64_strict(s);
-  if (!count) return std::nullopt;
-  return static_cast<std::int64_t>(
-      std::min<std::uint64_t>(*count, std::uint64_t{UINT32_MAX} + 1));
 }
 
 void print_table(std::ostream& os, const runner::SweepReport& report) {
@@ -267,7 +209,7 @@ int main(int argc, char** argv) {
   grid.protocols = {baselines::ProtocolKind::kCps,
                     baselines::ProtocolKind::kLynchWelch,
                     baselines::ProtocolKind::kSrikanthToueg};
-  grid.ns = {4, 7, 9};
+  grid.ns = {};  // set after the flags: the default depends on --world
   grid.fault_loads = {0, runner::SweepGrid::kMaxResilience};
   grid.delays = {sim::DelayKind::kRandom, sim::DelayKind::kSplit};
   grid.strategies = {core::ByzStrategy::kCrash};
@@ -278,8 +220,6 @@ int main(int argc, char** argv) {
   std::string resume_path;
   std::string history_path;
   std::size_t checkpoint_every = 32;
-  bool st_accel = false;
-  bool n_given = false;
   std::optional<double> gate;
   std::optional<double> gate_local;
   std::optional<double> gate_kllo;
@@ -302,101 +242,8 @@ int main(int argc, char** argv) {
       value = argv[++i];
     }
     try {
-      if (key == "world") {
-        parse_list(grid.worlds, value, runner::parse_world, "world");
-      } else if (key == "protocols") {
-        parse_list(grid.protocols, value, runner::parse_protocol, "protocol");
-      } else if (key == "n") {
-        n_given = true;
-        parse_numbers(grid.ns, key, value, runner::parse_u64_strict,
-                      [](std::uint64_t n) { return n >= 1 && n <= UINT32_MAX; },
-                      "cluster sizes >= 1");
-      } else if (key == "faults") {
-        parse_numbers(grid.fault_loads, key, value, parse_fault_load,
-                      [](std::int64_t f) {
-                        return f == runner::SweepGrid::kMaxResilience ||
-                               (f >= 0 && f <= UINT32_MAX);
-                      },
-                      "counts >= 0 or 'max'");
-      } else if (key == "vartheta") {
-        parse_numbers(grid.varthetas, key, value, runner::parse_double_strict);
-      } else if (key == "u") {
-        parse_numbers(grid.us, key, value, runner::parse_double_strict);
-      } else if (key == "u-tilde" || key == "u_tilde") {
-        parse_numbers(grid.u_tildes, key, value, runner::parse_double_strict);
-      } else if (key == "topology") {
-        parse_list(grid.topologies, value, runner::parse_topology, "topology");
-      } else if (key == "relay-fault" || key == "relay_fault") {
-        parse_list(grid.relay_faults, value, runner::parse_relay_fault,
-                   "relay fault");
-        // An empty list would silently drop every faulty relay grid point
-        // (expand() pushes nothing for them) and let a --gate pass
-        // vacuously; fail loudly instead.
-        if (grid.relay_faults.empty())
-          return fail("--relay-fault needs at least one value");
-      } else if (key == "delays" || key == "delay") {
-        grid.delays.clear();
-        grid.custom_delays.clear();
-        for (const auto& s : split(value)) {
-          if (s.rfind("custom:", 0) == 0) {
-            const auto custom = runner::parse_custom_delay(s);
-            if (!custom)
-              return fail("bad custom delay '" + s +
-                          "' (want custom:fixed:<fraction in [0,1]>, "
-                          "custom:alternate, or custom:target:<node>)");
-            grid.custom_delays.push_back(*custom);
-            continue;
-          }
-          const auto dk = runner::parse_delay_kind(s);
-          if (!dk) return fail("unknown delay policy '" + s + "'");
-          grid.delays.push_back(*dk);
-        }
-        if (grid.delays.empty() && grid.custom_delays.empty())
-          return fail("--delays needs at least one value");
-      } else if (key == "clocks") {
-        parse_list(grid.clock_kinds, value, runner::parse_clock_kind,
-                   "clock kind");
-      } else if (key == "crypto") {
-        parse_list(grid.cryptos, value, runner::parse_crypto_mode,
-                   "crypto mode");
-        if (grid.cryptos.empty())
-          return fail("--crypto needs at least one value");
-      } else if (key == "byz") {
-        grid.strategies.clear();
-        st_accel = false;
-        for (const auto& s : split(value)) {
-          if (s == "st-accel") {
-            st_accel = true;
-            continue;
-          }
-          const auto b = runner::parse_byz_strategy(s);
-          if (!b) return fail("unknown byz strategy '" + s + "'");
-          grid.strategies.push_back(*b);
-        }
-        if (grid.strategies.empty())
-          grid.strategies = {core::ByzStrategy::kCrash};
-      } else if (key == "churn-rate" || key == "churn_rate") {
-        parse_numbers(grid.churn_rates, key, value, runner::parse_double_strict,
-                      [](double r) { return r >= 0.0 && r <= 1.0; },
-                      "rates in [0,1]", true);
-      } else if (key == "join-batch" || key == "join_batch") {
-        parse_numbers(grid.join_batches, key, value, runner::parse_u64_strict,
-                      [](std::uint64_t b) { return b <= UINT32_MAX; },
-                      "counts >= 0", true);
-      } else if (key == "kllo-stab" || key == "kllo_stab") {
-        parse_numbers(grid.kllo_stabs, key, value, runner::parse_double_strict,
-                      [](double m) { return m > 0.0; }, "multipliers > 0",
-                      true);
-      } else if (key == "search-budget" || key == "search_budget") {
-        parse_numbers(grid.search_budgets, key, value, runner::parse_u64_strict,
-                      [](std::uint64_t b) { return b >= 1 && b <= UINT32_MAX; },
-                      "counts >= 1", true);
-      } else if (key == "reconnect") {
-        parse_list(grid.reconnects, value, runner::parse_reconnect,
-                   "reconnect policy");
-        if (grid.reconnects.empty())
-          return fail("--reconnect needs at least one value");
-      } else if (key == "d") {
+      if (grid.set_axis(key, value)) continue;
+      if (key == "d") {
         grid.d = need_double(key, value);
       } else if (key == "rounds") {
         grid.rounds = static_cast<std::size_t>(need_u64(key, value));
@@ -447,8 +294,8 @@ int main(int argc, char** argv) {
       } else {
         return fail("unknown option '--" + key + "'");
       }
-    } catch (const FlagError& e) {
-      return fail(e.message);
+    } catch (const std::invalid_argument& e) {
+      return fail(e.what());
     } catch (const std::exception&) {
       return fail("bad value for --" + key + ": '" + value + "'");
     }
@@ -462,26 +309,16 @@ int main(int argc, char** argv) {
   // The flat-world default n axis {4,7,9} makes poor sparse topologies (a
   // hypercube needs a power of two). When every requested world is
   // relay/theorem5 and no --n was given, default to one topology-friendly
-  // size instead.
-  bool any_complete = false;
-  for (const auto w : grid.worlds)
-    if (w == runner::WorldKind::kComplete) any_complete = true;
-  if (!n_given && !any_complete) grid.ns = {8};
-
-  auto specs = grid.expand();
-  if (st_accel) {
-    // Add ST certificate-acceleration variants for every faulty ST point.
-    std::vector<runner::ScenarioSpec> extra;
-    for (const auto& spec : specs) {
-      if (spec.protocol == baselines::ProtocolKind::kSrikanthToueg &&
-          spec.world == runner::WorldKind::kComplete && spec.f_actual > 0) {
-        auto attack = spec;
-        attack.st_accelerator = true;
-        extra.push_back(attack);
-      }
-    }
-    specs.insert(specs.end(), extra.begin(), extra.end());
+  // size instead. (--n never leaves the axis empty: set_axis refuses that.)
+  if (grid.ns.empty()) {
+    const bool any_complete =
+        std::find(grid.worlds.begin(), grid.worlds.end(),
+                  runner::WorldKind::kComplete) != grid.worlds.end();
+    grid.ns = any_complete ? std::vector<std::uint32_t>{4, 7, 9}
+                           : std::vector<std::uint32_t>{8};
   }
+
+  const auto specs = grid.expand();
   if (specs.empty()) return fail("empty grid");
 
   // Streaming accumulators: the gate, the history line, and the fault-free

@@ -3,7 +3,7 @@
 # `smoke_sweep_cli_rejects`, label `integration`): one malformed value for
 # every list flag, the empty lists that must fail loudly, and the strict
 # numeric scalars. Each must exit 2 before any cell runs, with exactly the
-# stderr line below.
+# stderr line below. expect_reject takes the flags, then that line.
 #
 # Usage: smoke_sweep_cli_rejects.sh <path-to-sweep_cli> <workdir>
 set -euo pipefail
@@ -16,15 +16,15 @@ mkdir -p "$DIR"
 
 failures=0
 expect_reject() {
-  local flag=$1
-  local want=$2
+  local want=${*: -1}
+  local flags=("${@:1:$#-1}")
   local status=0
-  "$CLI" "$flag" --rounds=1 >"$DIR/stdout.txt" 2>"$DIR/stderr.txt" ||
+  "$CLI" "${flags[@]}" --rounds=1 >"$DIR/stdout.txt" 2>"$DIR/stderr.txt" ||
     status=$?
   local got
   got=$(cat "$DIR/stderr.txt")
   if [[ $status -ne 2 || "$got" != "$want" ]]; then
-    echo "FAIL $flag: exit $status, stderr '$got'; want exit 2, '$want'"
+    echo "FAIL ${flags[*]}: exit $status, stderr '$got'; want exit 2, '$want'"
     failures=$((failures + 1))
   fi
 }
@@ -71,10 +71,17 @@ expect_reject --churn-rate= "sweep_cli: --churn-rate needs at least one value"
 expect_reject --join-batch= "sweep_cli: --join-batch needs at least one value"
 expect_reject --kllo-stab= "sweep_cli: --kllo-stab needs at least one value"
 expect_reject --search-budget= "sweep_cli: --search-budget needs at least one value"
-expect_reject --n= "sweep_cli: empty grid"
-expect_reject --world= "sweep_cli: empty grid"
-expect_reject --protocols= "sweep_cli: empty grid"
-expect_reject --clocks= "sweep_cli: empty grid"
+expect_reject --n= "sweep_cli: --n needs at least one value"
+expect_reject --world= "sweep_cli: --world needs at least one value"
+expect_reject --protocols= "sweep_cli: --protocols needs at least one value"
+expect_reject --clocks= "sweep_cli: --clocks needs at least one value"
+expect_reject --byz= "sweep_cli: --byz needs at least one value"
+# An axis only some of the worlds read must fail on an empty list too, not
+# drop just those worlds' cells and let the gate pass on the rest.
+expect_reject --world=complete,relay --topology= --n=8 --faults=0 --gate=1.0 \
+  "sweep_cli: --topology needs at least one value"
+expect_reject --world=complete,theorem5 --clocks= \
+  "sweep_cli: --clocks needs at least one value"
 
 echo "== scalars parse strictly =="
 expect_reject --gate=1.0x "sweep_cli: bad numeric value for --gate: '1.0x'"

@@ -13,15 +13,7 @@
 namespace crusader::baselines {
 
 const char* to_string(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kCps: return "CPS";
-    case ProtocolKind::kLynchWelch: return "Lynch-Welch";
-    case ProtocolKind::kSrikanthToueg: return "Srikanth-Toueg";
-    case ProtocolKind::kFloodProbe: return "probe";
-    case ProtocolKind::kGradient: return "gradient";
-    case ProtocolKind::kJumpMax: return "jump-max";
-  }
-  return "?";
+  return util::spell(kProtocolSpellings, kind);
 }
 
 bool neighbor_cast(ProtocolKind kind) noexcept {

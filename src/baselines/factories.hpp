@@ -7,6 +7,7 @@
 
 #include "core/params.hpp"
 #include "sim/world.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::baselines {
 
@@ -28,6 +29,23 @@ enum class ProtocolKind {
   kFloodProbe,
   kGradient,
   kJumpMax,
+};
+
+/// The canonical names are the display names the tables and CSV print.
+inline constexpr util::Spelling<ProtocolKind> kProtocolSpellings[] = {
+    {ProtocolKind::kCps, "CPS"},
+    {ProtocolKind::kCps, "cps"},
+    {ProtocolKind::kLynchWelch, "Lynch-Welch"},
+    {ProtocolKind::kLynchWelch, "lw"},
+    {ProtocolKind::kLynchWelch, "lynch-welch"},
+    {ProtocolKind::kSrikanthToueg, "Srikanth-Toueg"},
+    {ProtocolKind::kSrikanthToueg, "st"},
+    {ProtocolKind::kSrikanthToueg, "srikanth-toueg"},
+    {ProtocolKind::kFloodProbe, "probe"},
+    {ProtocolKind::kFloodProbe, "flood-probe"},
+    {ProtocolKind::kGradient, "gradient"},
+    {ProtocolKind::kJumpMax, "jump-max"},
+    {ProtocolKind::kJumpMax, "jumpmax"},
 };
 
 [[nodiscard]] const char* to_string(ProtocolKind kind);

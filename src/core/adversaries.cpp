@@ -328,17 +328,7 @@ sim::ByzantineFactory make_st_accelerator_factory(NodeId target) {
 // --- Strategy registry ----------------------------------------------------------
 
 const char* to_string(ByzStrategy strategy) {
-  switch (strategy) {
-    case ByzStrategy::kCrash: return "crash";
-    case ByzStrategy::kEchoRush: return "echo-rush";
-    case ByzStrategy::kSplit: return "split";
-    case ByzStrategy::kPullEarly: return "pull-early";
-    case ByzStrategy::kPullLate: return "pull-late";
-    case ByzStrategy::kReplay: return "replay";
-    case ByzStrategy::kRandom: return "random";
-    case ByzStrategy::kGreedySkew: return "greedy-skew";
-  }
-  return "?";
+  return util::spell(kByzStrategySpellings, strategy);
 }
 
 const std::vector<ByzStrategy>& all_byz_strategies() {

@@ -18,6 +18,7 @@
 #include "sim/node.hpp"
 #include "sim/world.hpp"
 #include "util/rng.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::core {
 
@@ -201,6 +202,17 @@ enum class ByzStrategy {
   kGreedySkew,  // ObservationLog-driven two-faced timing (appended last so
                 // pre-existing enum values — and every spec key folding them
                 // — keep their exact numeric identity)
+};
+
+inline constexpr util::Spelling<ByzStrategy> kByzStrategySpellings[] = {
+    {ByzStrategy::kCrash, "crash"},
+    {ByzStrategy::kEchoRush, "echo-rush"},
+    {ByzStrategy::kSplit, "split"},
+    {ByzStrategy::kPullEarly, "pull-early"},
+    {ByzStrategy::kPullLate, "pull-late"},
+    {ByzStrategy::kReplay, "replay"},
+    {ByzStrategy::kRandom, "random"},
+    {ByzStrategy::kGreedySkew, "greedy-skew"},
 };
 
 [[nodiscard]] const char* to_string(ByzStrategy strategy);

@@ -25,15 +25,7 @@ std::uint64_t double_bits(double x) {
 }  // namespace
 
 const char* to_string(RelayFaultKind kind) {
-  switch (kind) {
-    case RelayFaultKind::kCrash: return "crash";
-    case RelayFaultKind::kMaxDelay: return "max-delay";
-    case RelayFaultKind::kReorder: return "reorder";
-    case RelayFaultKind::kSelectiveDrop: return "selective-drop";
-    case RelayFaultKind::kGreedySkew: return "greedy-skew";
-    case RelayFaultKind::kSearch: return "search";
-  }
-  return "?";
+  return util::spell(kRelayFaultSpellings, kind);
 }
 
 RelayAdversary::RelayAdversary(RelayFaultKind kind, const Topology& topology,

@@ -50,6 +50,7 @@
 
 #include "relay/topology.hpp"
 #include "util/ids.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::relay {
 
@@ -61,6 +62,18 @@ enum class RelayFaultKind {
   kSelectiveDrop,
   kGreedySkew,
   kSearch,
+};
+
+inline constexpr util::Spelling<RelayFaultKind> kRelayFaultSpellings[] = {
+    {RelayFaultKind::kCrash, "crash"},
+    {RelayFaultKind::kMaxDelay, "max-delay"},
+    {RelayFaultKind::kMaxDelay, "delay"},
+    {RelayFaultKind::kReorder, "reorder"},
+    {RelayFaultKind::kSelectiveDrop, "selective-drop"},
+    {RelayFaultKind::kSelectiveDrop, "drop"},
+    {RelayFaultKind::kGreedySkew, "greedy-skew"},
+    {RelayFaultKind::kGreedySkew, "greedy"},
+    {RelayFaultKind::kSearch, "search"},
 };
 
 [[nodiscard]] const char* to_string(RelayFaultKind kind);

@@ -212,15 +212,7 @@ template <typename Row>
 }  // namespace
 
 const char* to_string(ReconnectPolicy policy) {
-  switch (policy) {
-    case ReconnectPolicy::kRandom:
-      return "random";
-    case ReconnectPolicy::kPreferential:
-      return "preferential";
-    case ReconnectPolicy::kRingRepair:
-      return "ring-repair";
-  }
-  return "?";
+  return util::spell(kReconnectSpellings, policy);
 }
 
 TopologySchedule TopologySchedule::static_schedule(Topology initial) {

@@ -34,12 +34,21 @@
 
 #include "relay/topology.hpp"
 #include "util/ids.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::relay {
 
 /// How a rejoining node (or the kept endpoint of a rewired edge) picks new
 /// partners.
 enum class ReconnectPolicy { kRandom, kPreferential, kRingRepair };
+
+inline constexpr util::Spelling<ReconnectPolicy> kReconnectSpellings[] = {
+    {ReconnectPolicy::kRandom, "random"},
+    {ReconnectPolicy::kPreferential, "preferential"},
+    {ReconnectPolicy::kPreferential, "pref"},
+    {ReconnectPolicy::kRingRepair, "ring-repair"},
+    {ReconnectPolicy::kRingRepair, "repair"},
+};
 
 [[nodiscard]] const char* to_string(ReconnectPolicy policy);
 

@@ -44,39 +44,6 @@ void fill_skew_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
   }
 }
 
-/// Materialize the spec's topology family. Random topologies are grown from
-/// the scenario seed, so the realized graph is a pure function of
-/// (base_seed, spec) — independent of threads and grid position.
-relay::Topology build_topology(const ScenarioSpec& spec, std::uint64_t seed) {
-  switch (spec.topology) {
-    case TopologyKind::kComplete:
-      return relay::Topology::complete(spec.n);
-    case TopologyKind::kRing:
-      return relay::Topology::ring(spec.n);
-    case TopologyKind::kChordalRing:
-      CS_CHECK_MSG(spec.n >= 3,
-                   "chordal-ring topology requires n >= 3");
-      return relay::Topology::chordal_ring(spec.n, 2);
-    case TopologyKind::kRingOfCliques:
-      CS_CHECK_MSG(spec.n >= 8 && spec.n % 4 == 0,
-                   "ring-of-cliques topology requires n to be a multiple of "
-                   "4 with at least two cliques");
-      return relay::Topology::ring_of_cliques(spec.n / 4, 4, 2);
-    case TopologyKind::kHypercube: {
-      CS_CHECK_MSG(spec.n >= 2 && (spec.n & (spec.n - 1)) == 0,
-                   "hypercube topology requires n to be a power of two");
-      std::uint32_t dim = 0;
-      while ((1u << dim) < spec.n) ++dim;
-      return relay::Topology::hypercube(dim);
-    }
-    case TopologyKind::kRandomConnected:
-      return relay::Topology::random_connected(spec.n, spec.f,
-                                               seed ^ 0x70701063ULL);
-  }
-  CS_CHECK_MSG(false, "unknown topology kind");
-  return relay::Topology::complete(spec.n);
-}
-
 crypto::Pki::Kind pki_kind_for(CryptoMode mode) noexcept {
   return mode == CryptoMode::kAbstract ? crypto::Pki::Kind::kAbstract
                                        : crypto::Pki::Kind::kSymbolic;
@@ -173,7 +140,7 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
   hop_model.validate();
 
   relay::RelayConfig config;
-  config.topology = build_topology(spec, result.seed);
+  config.topology = relay_topology(spec, result.seed);
   config.hop_model = hop_model;
   config.seed = result.seed;
   config.clock_kind = spec.clocks;
@@ -469,6 +436,39 @@ bool admits(TrendSeries::Rows rows, const ScenarioSpec& spec) {
 }
 
 }  // namespace
+
+// Random topologies are grown from the scenario seed, so the realized graph
+// is a pure function of (base_seed, spec) — independent of threads and grid
+// position.
+relay::Topology relay_topology(const ScenarioSpec& spec, std::uint64_t seed) {
+  switch (spec.topology) {
+    case TopologyKind::kComplete:
+      return relay::Topology::complete(spec.n);
+    case TopologyKind::kRing:
+      return relay::Topology::ring(spec.n);
+    case TopologyKind::kChordalRing:
+      CS_CHECK_MSG(spec.n >= 3,
+                   "chordal-ring topology requires n >= 3");
+      return relay::Topology::chordal_ring(spec.n, 2);
+    case TopologyKind::kRingOfCliques:
+      CS_CHECK_MSG(spec.n >= 8 && spec.n % 4 == 0,
+                   "ring-of-cliques topology requires n to be a multiple of "
+                   "4 with at least two cliques");
+      return relay::Topology::ring_of_cliques(spec.n / 4, 4, 2);
+    case TopologyKind::kHypercube: {
+      CS_CHECK_MSG(spec.n >= 2 && (spec.n & (spec.n - 1)) == 0,
+                   "hypercube topology requires n to be a power of two");
+      std::uint32_t dim = 0;
+      while ((1u << dim) < spec.n) ++dim;
+      return relay::Topology::hypercube(dim);
+    }
+    case TopologyKind::kRandomConnected:
+      return relay::Topology::random_connected(spec.n, spec.f,
+                                               seed ^ 0x70701063ULL);
+  }
+  CS_CHECK_MSG(false, "unknown topology kind");
+  return relay::Topology::complete(spec.n);
+}
 
 std::uint64_t scenario_seed(const ScenarioSpec& spec,
                             std::uint64_t base_seed) noexcept {

@@ -158,6 +158,12 @@ struct SweepReport {
 [[nodiscard]] std::uint64_t scenario_seed(const ScenarioSpec& spec,
                                           std::uint64_t base_seed) noexcept;
 
+/// The graph a relay cell of `spec` floods over: the spec.topology family at
+/// spec.n (the random family grown for spec.f from the scenario `seed`).
+/// Throws util::CheckFailure for a size the family does not come in.
+[[nodiscard]] relay::Topology relay_topology(const ScenarioSpec& spec,
+                                             std::uint64_t seed);
+
 /// Run one scenario to completion. Never throws: failures are reported in
 /// ScenarioResult::error.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,

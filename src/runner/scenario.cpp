@@ -7,6 +7,9 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -30,107 +33,15 @@ std::uint64_t fold(std::uint64_t h, double value) noexcept {
 }  // namespace
 
 const char* to_string(WorldKind kind) {
-  switch (kind) {
-    case WorldKind::kComplete: return "complete";
-    case WorldKind::kRelay: return "relay";
-    case WorldKind::kTheorem5: return "theorem5";
-  }
-  return "?";
+  return util::spell(kWorldSpellings, kind);
 }
 
 const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kComplete: return "complete";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kChordalRing: return "chordal-ring";
-    case TopologyKind::kRingOfCliques: return "ring-of-cliques";
-    case TopologyKind::kHypercube: return "hypercube";
-    case TopologyKind::kRandomConnected: return "random";
-  }
-  return "?";
+  return util::spell(kTopologySpellings, kind);
 }
 
 const char* to_string(CryptoMode mode) {
-  switch (mode) {
-    case CryptoMode::kReal: return "real";
-    case CryptoMode::kAbstract: return "abstract";
-  }
-  return "?";
-}
-
-std::optional<WorldKind> parse_world(std::string_view s) {
-  if (s == "complete" || s == "flat") return WorldKind::kComplete;
-  if (s == "relay" || s == "sparse") return WorldKind::kRelay;
-  if (s == "theorem5" || s == "thm5" || s == "lower-bound")
-    return WorldKind::kTheorem5;
-  return std::nullopt;
-}
-
-std::optional<TopologyKind> parse_topology(std::string_view s) {
-  if (s == "complete") return TopologyKind::kComplete;
-  if (s == "ring") return TopologyKind::kRing;
-  if (s == "chordal-ring" || s == "chordal") return TopologyKind::kChordalRing;
-  if (s == "ring-of-cliques" || s == "cliques")
-    return TopologyKind::kRingOfCliques;
-  if (s == "hypercube") return TopologyKind::kHypercube;
-  if (s == "random") return TopologyKind::kRandomConnected;
-  return std::nullopt;
-}
-
-std::optional<baselines::ProtocolKind> parse_protocol(std::string_view s) {
-  if (s == "cps" || s == "CPS") return baselines::ProtocolKind::kCps;
-  if (s == "lw" || s == "lynch-welch")
-    return baselines::ProtocolKind::kLynchWelch;
-  if (s == "st" || s == "srikanth-toueg")
-    return baselines::ProtocolKind::kSrikanthToueg;
-  if (s == "probe" || s == "flood-probe")
-    return baselines::ProtocolKind::kFloodProbe;
-  if (s == "gradient") return baselines::ProtocolKind::kGradient;
-  if (s == "jump-max" || s == "jumpmax")
-    return baselines::ProtocolKind::kJumpMax;
-  return std::nullopt;
-}
-
-std::optional<sim::DelayKind> parse_delay_kind(std::string_view s) {
-  if (s == "max") return sim::DelayKind::kMax;
-  if (s == "min") return sim::DelayKind::kMin;
-  if (s == "random") return sim::DelayKind::kRandom;
-  if (s == "split") return sim::DelayKind::kSplit;
-  return std::nullopt;
-}
-
-std::optional<sim::ClockKind> parse_clock_kind(std::string_view s) {
-  if (s == "nominal") return sim::ClockKind::kNominal;
-  if (s == "spread") return sim::ClockKind::kSpread;
-  if (s == "random-walk" || s == "walk") return sim::ClockKind::kRandomWalk;
-  return std::nullopt;  // kCustom needs a clock vector, not a flag
-}
-
-std::optional<relay::RelayFaultKind> parse_relay_fault(std::string_view s) {
-  if (s == "crash") return relay::RelayFaultKind::kCrash;
-  if (s == "max-delay" || s == "delay") return relay::RelayFaultKind::kMaxDelay;
-  if (s == "reorder") return relay::RelayFaultKind::kReorder;
-  if (s == "selective-drop" || s == "drop")
-    return relay::RelayFaultKind::kSelectiveDrop;
-  if (s == "greedy-skew" || s == "greedy")
-    return relay::RelayFaultKind::kGreedySkew;
-  if (s == "search") return relay::RelayFaultKind::kSearch;
-  return std::nullopt;
-}
-
-std::optional<CryptoMode> parse_crypto_mode(std::string_view s) {
-  if (s == "real") return CryptoMode::kReal;
-  if (s == "abstract") return CryptoMode::kAbstract;
-  return std::nullopt;
-}
-
-std::optional<relay::ReconnectPolicy> parse_reconnect(std::string_view s) {
-  if (s == "random") return relay::ReconnectPolicy::kRandom;
-  if (s == "preferential" || s == "pref")
-    return relay::ReconnectPolicy::kPreferential;
-  if (s == "ring-repair" || s == "repair")
-    return relay::ReconnectPolicy::kRingRepair;
-  return std::nullopt;
+  return util::spell(kCryptoSpellings, mode);
 }
 
 std::string CustomDelaySpec::spelling() const {
@@ -211,18 +122,6 @@ std::optional<std::uint64_t> parse_u64_strict(std::string_view s) {
   const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
   return value;
-}
-
-std::optional<core::ByzStrategy> parse_byz_strategy(std::string_view s) {
-  if (s == "crash") return core::ByzStrategy::kCrash;
-  if (s == "echo-rush") return core::ByzStrategy::kEchoRush;
-  if (s == "split") return core::ByzStrategy::kSplit;
-  if (s == "pull-early") return core::ByzStrategy::kPullEarly;
-  if (s == "pull-late") return core::ByzStrategy::kPullLate;
-  if (s == "replay") return core::ByzStrategy::kReplay;
-  if (s == "random") return core::ByzStrategy::kRandom;
-  if (s == "greedy-skew") return core::ByzStrategy::kGreedySkew;
-  return std::nullopt;
 }
 
 sim::ModelParams ScenarioSpec::model() const {
@@ -525,29 +424,172 @@ void kllo_stab_row(Expansion& x, ScenarioSpec& spec) {
   fan(x, spec, spec.kllo_stab, x.grid.kllo_stabs);
 }
 
-using AxisRow = void (*)(Expansion&, ScenarioSpec&);
+/// One `--<flag>=a,b,c` list on its way into an axis: the flag as typed
+/// (parse errors echo it), its row's flag and `what` (the other errors name
+/// them), and the comma-separated items, empty ones dropped.
+struct AxisList {
+  std::string typed;
+  std::string flag;
+  std::string what;
+  std::vector<std::string> items;
+};
 
-/// One row per axis, outermost first. An axis whose list is empty yields
-/// no cells for the worlds that read it.
+/// Replaces an enum axis with the list, each item read by `Parse`; the first
+/// it rejects fails as "unknown <what> '<item>'".
+template <auto List, auto Parse>
+void names(SweepGrid& grid, const AxisList& list) {
+  auto& axis = grid.*List;
+  axis.clear();
+  for (const auto& item : list.items) {
+    const auto value = Parse(item);
+    if (!value)
+      throw std::invalid_argument("unknown " + list.what + " '" + item + "'");
+    axis.push_back(*value);
+  }
+}
+
+/// Replaces a numeric axis with the list. Each item is read by the strict
+/// `Parse` (else "bad numeric value for --<typed>: '<item>'") and must
+/// satisfy `InRange`, when given (else "--<flag> takes <what>, got
+/// '<item>'").
+template <auto List, auto Parse, auto InRange = nullptr>
+void numbers(SweepGrid& grid, const AxisList& list) {
+  auto& axis = grid.*List;
+  axis.clear();
+  for (const auto& item : list.items) {
+    const auto raw = Parse(item);
+    if (!raw)
+      throw std::invalid_argument("bad numeric value for --" + list.typed +
+                                  ": '" + item + "'");
+    if constexpr (InRange != nullptr) {
+      if (!InRange(*raw))
+        throw std::invalid_argument("--" + list.flag + " takes " + list.what +
+                                    ", got '" + item + "'");
+    }
+    using T = typename std::remove_reference_t<decltype(axis)>::value_type;
+    axis.push_back(static_cast<T>(*raw));
+  }
+}
+
+/// Counts from `Min` that fit the spec's std::uint32_t fields.
+template <std::uint64_t Min>
+bool count_from(std::uint64_t v) {
+  return v >= Min && v <= UINT32_MAX;
+}
+bool rate(double r) { return r >= 0.0 && r <= 1.0; }
+bool positive(double m) { return m > 0.0; }
+
+/// "max" is kMaxResilience; counts past UINT32_MAX saturate just above it
+/// so the range check, not the sign of an int64 cast, rejects them.
+std::optional<std::int64_t> parse_fault_load(std::string_view s) {
+  if (s == "max") return SweepGrid::kMaxResilience;
+  const auto count = parse_u64_strict(s);
+  if (!count) return std::nullopt;
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>(*count, std::uint64_t{UINT32_MAX} + 1));
+}
+bool fault_load(std::int64_t f) {
+  return f == SweepGrid::kMaxResilience || (f >= 0 && f <= UINT32_MAX);
+}
+
+/// DelayKind spellings and "custom:..." policies share one list.
+void read_delays(SweepGrid& grid, const AxisList& list) {
+  grid.delays.clear();
+  grid.custom_delays.clear();
+  for (const auto& item : list.items) {
+    if (item.rfind("custom:", 0) == 0) {
+      const auto custom = parse_custom_delay(item);
+      if (!custom)
+        throw std::invalid_argument(
+            "bad custom delay '" + item +
+            "' (want custom:fixed:<fraction in [0,1]>, custom:alternate, or "
+            "custom:target:<node>)");
+      grid.custom_delays.push_back(*custom);
+    } else {
+      const auto kind = parse_delay_kind(item);
+      if (!kind)
+        throw std::invalid_argument("unknown " + list.what + " '" + item +
+                                    "'");
+      grid.delays.push_back(*kind);
+    }
+  }
+}
+
+/// "st-accel" is the st_accelerator switch, not a strategy; a list of only
+/// that keeps the crash strategy for the other faulty cells.
+void read_strategies(SweepGrid& grid, const AxisList& list) {
+  grid.strategies.clear();
+  grid.st_accelerator = false;
+  for (const auto& item : list.items) {
+    if (item == "st-accel") {
+      grid.st_accelerator = true;
+      continue;
+    }
+    const auto strategy = parse_byz_strategy(item);
+    if (!strategy)
+      throw std::invalid_argument("unknown " + list.what + " '" + item + "'");
+    grid.strategies.push_back(*strategy);
+  }
+  if (grid.strategies.empty()) grid.strategies = {core::ByzStrategy::kCrash};
+}
+
+struct AxisRow {
+  const char* flag;  ///< --<flag>; '_' also spells '-'
+  const char* what;  ///< enum lists: the item noun; numbers: their range
+  void (*expand)(Expansion&, ScenarioSpec&);
+  void (*read)(SweepGrid&, const AxisList&);
+  const char* alias = nullptr;  ///< a second flag for the same axis
+};
+
+using Grid = SweepGrid;
+using Spec = ScenarioSpec;
+
+/// One row per axis, outermost first: its command-line flag, how expand()
+/// walks it and how set_axis reads its list. An axis whose list is empty
+/// yields no cells for the worlds that read it.
 constexpr AxisRow kAxisRows[] = {
-    axis<&SweepGrid::worlds, &ScenarioSpec::world>,
-    protocol_row,
-    n_row,
-    axis<&SweepGrid::topologies, &ScenarioSpec::topology, on_relay>,
-    fault_row,
-    axis<&SweepGrid::varthetas, &ScenarioSpec::vartheta>,
-    axis<&SweepGrid::us, &ScenarioSpec::u>,
-    u_tilde_row,
-    delay_row,
-    axis<&SweepGrid::clock_kinds, &ScenarioSpec::clocks, off_theorem5>,
-    axis<&SweepGrid::cryptos, &ScenarioSpec::crypto, off_theorem5>,
-    axis<&SweepGrid::strategies, &ScenarioSpec::strategy, faulty_complete>,
-    axis<&SweepGrid::relay_faults, &ScenarioSpec::relay_fault, faulty_relay>,
-    search_budget_row,
-    axis<&SweepGrid::churn_rates, &ScenarioSpec::churn_rate, reads_churn>,
-    axis<&SweepGrid::join_batches, &ScenarioSpec::join_batch, reads_churn>,
-    reconnect_row,
-    kllo_stab_row,
+    {"world", "world", axis<&Grid::worlds, &Spec::world>,
+     names<&Grid::worlds, parse_world>},
+    {"protocols", "protocol", protocol_row,
+     names<&Grid::protocols, parse_protocol>},
+    {"n", "cluster sizes >= 1", n_row,
+     numbers<&Grid::ns, parse_u64_strict, count_from<1>>},
+    {"topology", "topology",
+     axis<&Grid::topologies, &Spec::topology, on_relay>,
+     names<&Grid::topologies, parse_topology>},
+    {"faults", "counts >= 0 or 'max'", fault_row,
+     numbers<&Grid::fault_loads, parse_fault_load, fault_load>},
+    {"vartheta", "", axis<&Grid::varthetas, &Spec::vartheta>,
+     numbers<&Grid::varthetas, parse_double_strict>},
+    {"u", "", axis<&Grid::us, &Spec::u>,
+     numbers<&Grid::us, parse_double_strict>},
+    {"u-tilde", "", u_tilde_row,
+     numbers<&Grid::u_tildes, parse_double_strict>},
+    {"delays", "delay policy", delay_row, read_delays, "delay"},
+    {"clocks", "clock kind",
+     axis<&Grid::clock_kinds, &Spec::clocks, off_theorem5>,
+     names<&Grid::clock_kinds, parse_clock_kind>},
+    {"crypto", "crypto mode",
+     axis<&Grid::cryptos, &Spec::crypto, off_theorem5>,
+     names<&Grid::cryptos, parse_crypto_mode>},
+    {"byz", "byz strategy",
+     axis<&Grid::strategies, &Spec::strategy, faulty_complete>,
+     read_strategies},
+    {"relay-fault", "relay fault",
+     axis<&Grid::relay_faults, &Spec::relay_fault, faulty_relay>,
+     names<&Grid::relay_faults, parse_relay_fault>},
+    {"search-budget", "counts >= 1", search_budget_row,
+     numbers<&Grid::search_budgets, parse_u64_strict, count_from<1>>},
+    {"churn-rate", "rates in [0,1]",
+     axis<&Grid::churn_rates, &Spec::churn_rate, reads_churn>,
+     numbers<&Grid::churn_rates, parse_double_strict, rate>},
+    {"join-batch", "counts >= 0",
+     axis<&Grid::join_batches, &Spec::join_batch, reads_churn>,
+     numbers<&Grid::join_batches, parse_u64_strict, count_from<0>>},
+    {"reconnect", "reconnect policy", reconnect_row,
+     names<&Grid::reconnects, parse_reconnect>},
+    {"kllo-stab", "multipliers > 0", kllo_stab_row,
+     numbers<&Grid::kllo_stabs, parse_double_strict, positive>},
 };
 
 void Expansion::next(ScenarioSpec& spec) {
@@ -555,7 +597,7 @@ void Expansion::next(ScenarioSpec& spec) {
     if (seen.insert(spec.key()).second) specs.push_back(spec);
     return;
   }
-  kAxisRows[row++](*this, spec);
+  kAxisRows[row++].expand(*this, spec);
   --row;
 }
 
@@ -569,7 +611,41 @@ std::vector<ScenarioSpec> SweepGrid::expand() const {
   spec.slack = slack;
   Expansion x{*this};
   x.next(spec);
+  if (st_accelerator) {
+    const std::size_t cells = x.specs.size();
+    for (std::size_t i = 0; i < cells; ++i) {
+      ScenarioSpec attack = x.specs[i];
+      if (attack.protocol != baselines::ProtocolKind::kSrikanthToueg ||
+          attack.world != WorldKind::kComplete || attack.f_actual == 0)
+        continue;
+      attack.st_accelerator = true;
+      x.specs.push_back(std::move(attack));
+    }
+  }
   return std::move(x.specs);
+}
+
+bool SweepGrid::set_axis(std::string_view flag, std::string_view list) {
+  std::string name(flag);
+  std::replace(name.begin(), name.end(), '_', '-');
+  const auto row = std::find_if(
+      std::begin(kAxisRows), std::end(kAxisRows), [&](const AxisRow& r) {
+        return name == r.flag || (r.alias && name == r.alias);
+      });
+  if (row == std::end(kAxisRows)) return false;
+  AxisList axis{std::string(flag), row->flag, row->what, {}};
+  for (std::size_t at = 0; at <= list.size();) {
+    const std::size_t comma = std::min(list.find(',', at), list.size());
+    if (comma > at) axis.items.emplace_back(list.substr(at, comma - at));
+    at = comma + 1;
+  }
+  // An empty list would drop every cell that reads the axis and let a gate
+  // pass vacuously; only ũ gives it a meaning (ũ = u).
+  if (axis.items.empty() && axis.flag != "u-tilde")
+    throw std::invalid_argument("--" + axis.flag +
+                                " needs at least one value");
+  row->read(*this, axis);
+  return true;
 }
 
 }  // namespace crusader::runner

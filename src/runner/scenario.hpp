@@ -21,6 +21,7 @@
 #include "sim/model.hpp"
 #include "sim/network.hpp"
 #include "sim/world.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::runner {
 
@@ -34,6 +35,16 @@ namespace crusader::runner {
 ///    adversary, n = 3); spec.u_tilde is the ũ the adversary exploits and
 ///    spec.rounds is the construction's target round count.
 enum class WorldKind { kComplete, kRelay, kTheorem5 };
+
+inline constexpr util::Spelling<WorldKind> kWorldSpellings[] = {
+    {WorldKind::kComplete, "complete"},
+    {WorldKind::kComplete, "flat"},
+    {WorldKind::kRelay, "relay"},
+    {WorldKind::kRelay, "sparse"},
+    {WorldKind::kTheorem5, "theorem5"},
+    {WorldKind::kTheorem5, "thm5"},
+    {WorldKind::kTheorem5, "lower-bound"},
+};
 
 /// Topology family for WorldKind::kRelay.
 ///  * kChordalRing — the circulant C_n(1, 2): the ring plus stride-2 chords,
@@ -52,6 +63,17 @@ enum class TopologyKind {
   kRandomConnected
 };
 
+inline constexpr util::Spelling<TopologyKind> kTopologySpellings[] = {
+    {TopologyKind::kComplete, "complete"},
+    {TopologyKind::kRing, "ring"},
+    {TopologyKind::kChordalRing, "chordal-ring"},
+    {TopologyKind::kChordalRing, "chordal"},
+    {TopologyKind::kRingOfCliques, "ring-of-cliques"},
+    {TopologyKind::kRingOfCliques, "cliques"},
+    {TopologyKind::kHypercube, "hypercube"},
+    {TopologyKind::kRandomConnected, "random"},
+};
+
 /// Crypto label of a scenario.
 ///  * kReal — the symbolic registry scheme with SHA-256 payload digests,
 ///    memoized per world (the default; crypto::Pki::Kind::kSymbolic).
@@ -61,30 +83,64 @@ enum class TopologyKind {
 ///    labels, keys, seeds and digests.
 enum class CryptoMode { kReal, kAbstract };
 
+inline constexpr util::Spelling<CryptoMode> kCryptoSpellings[] = {
+    {CryptoMode::kReal, "real"},
+    {CryptoMode::kAbstract, "abstract"},
+};
+
 [[nodiscard]] const char* to_string(WorldKind kind);
 [[nodiscard]] const char* to_string(TopologyKind kind);
 [[nodiscard]] const char* to_string(CryptoMode mode);
 
-// CLI-facing parsers (shared by sweep_cli and the tests that assert every
-// enumerator stays reachable from the command line). Each accepts exactly the
-// to_string spellings plus documented aliases; unknown strings yield nullopt.
-[[nodiscard]] std::optional<WorldKind> parse_world(std::string_view s);
-[[nodiscard]] std::optional<TopologyKind> parse_topology(std::string_view s);
-[[nodiscard]] std::optional<baselines::ProtocolKind> parse_protocol(
-    std::string_view s);
-[[nodiscard]] std::optional<sim::DelayKind> parse_delay_kind(
-    std::string_view s);
+// CLI-facing parsers (shared by SweepGrid::set_axis, crusader_cli and the
+// tests that walk every spelling table). Each accepts exactly the rows of its
+// enum's spelling table; unknown strings yield nullopt.
+[[nodiscard]] inline std::optional<WorldKind> parse_world(std::string_view s) {
+  return util::parse_spelling(kWorldSpellings, s);
+}
+
+[[nodiscard]] inline std::optional<TopologyKind> parse_topology(
+    std::string_view s) {
+  return util::parse_spelling(kTopologySpellings, s);
+}
+
+[[nodiscard]] inline std::optional<baselines::ProtocolKind> parse_protocol(
+    std::string_view s) {
+  return util::parse_spelling(baselines::kProtocolSpellings, s);
+}
+
+[[nodiscard]] inline std::optional<sim::DelayKind> parse_delay_kind(
+    std::string_view s) {
+  return util::parse_spelling(sim::kDelayKindSpellings, s);
+}
+
 /// ClockKind::kCustom is intentionally not parseable: it requires a
 /// caller-supplied clock vector that cannot come from a flag.
-[[nodiscard]] std::optional<sim::ClockKind> parse_clock_kind(
-    std::string_view s);
-[[nodiscard]] std::optional<core::ByzStrategy> parse_byz_strategy(
-    std::string_view s);
-[[nodiscard]] std::optional<relay::RelayFaultKind> parse_relay_fault(
-    std::string_view s);
-[[nodiscard]] std::optional<CryptoMode> parse_crypto_mode(std::string_view s);
-[[nodiscard]] std::optional<relay::ReconnectPolicy> parse_reconnect(
-    std::string_view s);
+[[nodiscard]] inline std::optional<sim::ClockKind> parse_clock_kind(
+    std::string_view s) {
+  const auto kind = util::parse_spelling(sim::kClockKindSpellings, s);
+  return kind == sim::ClockKind::kCustom ? std::nullopt : kind;
+}
+
+[[nodiscard]] inline std::optional<core::ByzStrategy> parse_byz_strategy(
+    std::string_view s) {
+  return util::parse_spelling(core::kByzStrategySpellings, s);
+}
+
+[[nodiscard]] inline std::optional<relay::RelayFaultKind> parse_relay_fault(
+    std::string_view s) {
+  return util::parse_spelling(relay::kRelayFaultSpellings, s);
+}
+
+[[nodiscard]] inline std::optional<CryptoMode> parse_crypto_mode(
+    std::string_view s) {
+  return util::parse_spelling(kCryptoSpellings, s);
+}
+
+[[nodiscard]] inline std::optional<relay::ReconnectPolicy> parse_reconnect(
+    std::string_view s) {
+  return util::parse_spelling(relay::kReconnectSpellings, s);
+}
 
 /// CLI spelling for WorldConfig::custom_delay / RelayConfig::custom_delay —
 /// the delay policies that have no DelayKind enumerator:
@@ -272,10 +328,22 @@ struct SweepGrid {
   std::size_t rounds = 20;
   std::size_t warmup = 5;
   double slack = 1.0;
+  /// Also run the Srikanth–Toueg certificate-acceleration attack
+  /// (`--byz=st-accel`): expand() appends, after every other cell, a copy
+  /// with st_accelerator set of each faulty complete-world ST cell.
+  bool st_accelerator = false;
 
   static constexpr std::int64_t kMaxResilience = -1;
 
   [[nodiscard]] std::vector<ScenarioSpec> expand() const;
+
+  /// Replaces the axis whose command-line flag is `flag` (as typed: '_' may
+  /// spell '-', and "delay" is "delays") with the comma-separated `list`.
+  /// Returns false when `flag` names no axis. Throws std::invalid_argument
+  /// naming the flag on an unknown spelling, a malformed or out-of-range
+  /// number, or an empty list — except for u-tilde, where an empty list
+  /// means ũ = u.
+  [[nodiscard]] bool set_axis(std::string_view flag, std::string_view list);
 };
 
 /// Resilience bound for `protocol` at `n` (signed bound for CPS/ST, plain

@@ -16,13 +16,7 @@
 namespace crusader::sim {
 
 const char* to_string(DelayKind kind) {
-  switch (kind) {
-    case DelayKind::kMax: return "max";
-    case DelayKind::kMin: return "min";
-    case DelayKind::kRandom: return "random";
-    case DelayKind::kSplit: return "split";
-  }
-  return "?";
+  return util::spell(kDelayKindSpellings, kind);
 }
 
 std::unique_ptr<DelayPolicy> make_delay_policy(DelayKind kind, std::uint32_t n) {

@@ -22,6 +22,7 @@
 #include "sim/message_arena.hpp"
 #include "sim/model.hpp"
 #include "util/rng.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::sim {
 
@@ -129,6 +130,13 @@ class TargetedDelayPolicy final : public DelayPolicy {
 };
 
 enum class DelayKind { kMax, kMin, kRandom, kSplit };
+
+inline constexpr util::Spelling<DelayKind> kDelayKindSpellings[] = {
+    {DelayKind::kMax, "max"},
+    {DelayKind::kMin, "min"},
+    {DelayKind::kRandom, "random"},
+    {DelayKind::kSplit, "split"},
+};
 
 [[nodiscard]] const char* to_string(DelayKind kind);
 

@@ -12,13 +12,7 @@
 namespace crusader::sim {
 
 const char* to_string(ClockKind kind) {
-  switch (kind) {
-    case ClockKind::kNominal: return "nominal";
-    case ClockKind::kSpread: return "spread";
-    case ClockKind::kRandomWalk: return "random-walk";
-    case ClockKind::kCustom: return "custom";
-  }
-  return "?";
+  return util::spell(kClockKindSpellings, kind);
 }
 
 std::vector<NodeId> default_faulty_set(std::uint32_t f) {

@@ -16,6 +16,7 @@
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/trace.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::sim {
 
@@ -26,6 +27,16 @@ enum class ClockKind {
                 // sustained drift divergence
   kRandomWalk,  // per-node random rate walk within [1, vartheta]
   kCustom,      // WorldConfig::custom_clocks
+};
+
+/// kCustom keeps its name for printing; the runner's parser refuses it, since
+/// a caller-built clock vector cannot come from a flag.
+inline constexpr util::Spelling<ClockKind> kClockKindSpellings[] = {
+    {ClockKind::kNominal, "nominal"},
+    {ClockKind::kSpread, "spread"},
+    {ClockKind::kRandomWalk, "random-walk"},
+    {ClockKind::kRandomWalk, "walk"},
+    {ClockKind::kCustom, "custom"},
 };
 
 [[nodiscard]] const char* to_string(ClockKind kind);
