@@ -466,25 +466,39 @@ TEST(MemoCache, CachedSweepCsvIdenticalToUncached) {
   grid.rounds = 4;
   grid.warmup = 1;
   const auto specs = grid.expand();
-  ASSERT_GE(specs.size(), 6u);
+  ASSERT_EQ(specs.size(), 6u);
 
+  // The hit/miss counts are read off a 1-thread pass: with several workers,
+  // whether a lookup lands after the insert of its key depends on
+  // scheduling (two workers may both miss on one key).
+  RunnerOptions serial;
+  serial.threads = 1;
+  relay::EffectiveCache cache;
+  serial.shared_relay_cache = &cache;
   RunnerOptions cached;
   cached.threads = 4;
-  relay::EffectiveCache cache;
-  cached.shared_relay_cache = &cache;
+  relay::EffectiveCache pooled_cache;
+  cached.shared_relay_cache = &pooled_cache;
   RunnerOptions uncached;
   uncached.threads = 4;
   uncached.relay_cache = false;
 
+  std::ostringstream serial_cached;
+  write_csv(serial_cached, run_sweep(specs, serial));
   std::ostringstream with_cache;
   write_csv(with_cache, run_sweep(specs, cached));
   std::ostringstream without_cache;
   write_csv(without_cache, run_sweep(specs, uncached));
   EXPECT_EQ(with_cache.str(), without_cache.str());
-  // The ring's three fault kinds shared one analysis; the random family
-  // re-analyzed per seed (here: one seed, shared across its fault kinds).
+  EXPECT_EQ(serial_cached.str(), with_cache.str());
+  // The ring's three fault kinds share one analysis key; the random family
+  // keys on the cell seed, which differs per fault kind. So the grid holds
+  // 1 + 3 distinct analysis keys: four misses, the ring's other two cells
+  // hits.
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_LT(cache.misses(), specs.size());
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(History, LineFormatRoundTrips) {
