@@ -72,6 +72,7 @@
 //                              search weakly dominates greedy-skew)
 // Scalars:
 //   --d=1.0 --rounds=20 --warmup=5 --seed=1 --threads=1 --slack=1.0
+//                  (--rounds >= 1, --threads <= 1024)
 //   --gate=RATIO   fail (exit 1) when any scenario errored/timed out or any
 //                  feasible completed scenario has max_skew/bound > RATIO —
 //                  or, for theorem5 scenarios, fails to realize its lower
@@ -246,7 +247,10 @@ int main(int argc, char** argv) {
       if (key == "d") {
         grid.d = need_double(key, value);
       } else if (key == "rounds") {
-        grid.rounds = static_cast<std::size_t>(need_u64(key, value));
+        const auto rounds = need_u64(key, value);
+        if (rounds == 0)
+          return fail("--rounds takes a count >= 1, got '" + value + "'");
+        grid.rounds = static_cast<std::size_t>(rounds);
       } else if (key == "warmup") {
         grid.warmup = static_cast<std::size_t>(need_u64(key, value));
       } else if (key == "slack") {

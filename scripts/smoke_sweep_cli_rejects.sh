@@ -85,6 +85,9 @@ expect_reject --world=complete,theorem5 --clocks= \
 
 echo "== scalars parse strictly =="
 expect_reject --gate=1.0x "sweep_cli: bad numeric value for --gate: '1.0x'"
+# max_rounds = 0 means "no cap" inside the protocols, so a zero round count
+# would run the horizon's rounds and report them under rounds=0.
+expect_reject --rounds=0 "sweep_cli: --rounds takes a count >= 1, got '0'"
 
 if [[ $failures -ne 0 ]]; then
   echo "smoke_sweep_cli_rejects: $failures check(s) failed"
