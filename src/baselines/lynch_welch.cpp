@@ -1,13 +1,12 @@
 #include "baselines/lynch_welch.hpp"
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sync/approx_agreement.hpp"
 #include "util/check.hpp"
 
 namespace crusader::baselines {
@@ -99,15 +98,10 @@ void LynchWelchNode::finish_round(sim::Env& env) {
     }
   }
 
-  // Classic fault-tolerant midpoint: drop the f lowest and f highest of the
-  // received estimates (no ⊥ information without signatures, so the discard
-  // count is always f), then take the midpoint. Requires n > 3f.
-  std::sort(values.begin(), values.end());
-  CS_CHECK_MSG(values.size() > 2 * static_cast<std::size_t>(f_),
-               "fewer than 2f+1 estimates; n > 3f violated?");
-  const double lo = values[f_];
-  const double hi = values[values.size() - 1 - f_];
-  const double delta = (lo + hi) / 2.0;
+  // Classic fault-tolerant midpoint: the Figure-1 rule with b = 0 (no ⊥
+  // information without signatures, so the discard count is always f).
+  // Needs 2f + 1 estimates, hence n > 3f.
+  const double delta = core::trimmed_midpoint(std::move(values), f_);
 
   ++stats_.rounds_completed;
   collecting_ = false;

@@ -5,10 +5,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "sync/approx_agreement.hpp"
 #include "util/check.hpp"
 
 namespace crusader::core {
@@ -181,16 +181,15 @@ void CpsNode::maybe_finish_round(sim::Env& env) {
     }
   }
 
-  double delta = 0.0;
-  if (config_.ablate_discard_rule) {
-    // Naive always-f discard (clamped): ignores what ⊥ reveals about which
-    // dealers are faulty. Kept only for the E12 ablation.
-    std::sort(values.begin(), values.end());
-    const auto discard = std::min<std::size_t>(f_, (values.size() - 1) / 2);
-    delta = (values[discard] + values[values.size() - 1 - discard]) / 2.0;
-  } else {
-    delta = sync::ApaNode::select_midpoint(values, f_, bots);
-  }
+  // Figure 1's rule: every ⊥ output identifies one faulty dealer whose
+  // value is already excluded, so only f − b values can hide on each side.
+  // The E12 ablation instead always discards f (clamped), ignoring what ⊥
+  // reveals.
+  const std::size_t discard =
+      config_.ablate_discard_rule
+          ? std::min<std::size_t>(f_, (values.size() - 1) / 2)
+          : (f_ > bots ? f_ - bots : 0);
+  const double delta = trimmed_midpoint(std::move(values), discard);
   deltas_.push_back(delta);
   stats_.max_abs_delta = std::max(stats_.max_abs_delta, std::abs(delta));
   ++stats_.rounds_completed;

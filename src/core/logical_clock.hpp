@@ -10,6 +10,10 @@
 // [P_min, P_max], concurrent logical readings differ by at most
 // Λ·(S/P_min + (P_max−P_min)/P_min) and rates stay within
 // [Λ/(ϑ·P_max), Λ·ϑ/P_min].
+//
+// Kept although no runner cell reaches it: it is the introduction's
+// construction, pinned at world level by LogicalClockFuzz in
+// tests/test_properties.cpp and shown by examples/distributed_timestamps.
 
 #include <cstddef>
 #include <vector>

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
 namespace crusader::core {
+
+double trimmed_midpoint(std::vector<double> values, std::size_t discard) {
+  CS_CHECK_MSG(values.size() > 2 * discard,
+               "discarding " << discard << " per side leaves nothing of "
+                             << values.size());
+  std::sort(values.begin(), values.end());
+  return (values[discard] + values[values.size() - 1 - discard]) / 2.0;
+}
 
 ParamSolver::ParamSolver(sim::ModelParams model) : model_(model) {
   model_.validate();

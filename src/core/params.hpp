@@ -19,9 +19,20 @@
 // T), or reports infeasibility — which happens above a threshold ϑ_max
 // (our analogue of Corollary 4's ϑ ≤ 1.11).
 
+#include <cstddef>
+#include <vector>
+
 #include "sim/model.hpp"
 
 namespace crusader::core {
+
+/// The Figure-1 selection rule: sort `values`, drop `discard` from each
+/// end, and return the midpoint of the interval spanned by the rest. APA
+/// discards max(0, f − b) per side (b = number of ⊥ outputs), CPS applies
+/// the same rule to its TCB offset estimates (Figure 3), and Lynch–Welch is
+/// the rule with b = 0. Throws unless more than 2·discard values are given.
+[[nodiscard]] double trimmed_midpoint(std::vector<double> values,
+                                      std::size_t discard);
 
 struct CpsParams {
   bool feasible = false;

@@ -17,6 +17,9 @@
 //
 // Restrictions (checked): inner protocols must be broadcast-only (CPS, LW,
 // ST all are) and use timer tags below 2^56 (CPS's tag encoding fits).
+//
+// Kept although no runner cell reaches it yet: ROADMAP's "Theorem 5 at
+// general n" item runs the theorem5 world through it.
 
 #include <cstdint>
 #include <functional>

@@ -1,6 +1,10 @@
 #pragma once
 // Trace export: CSV serialization of pulse traces for external analysis and
 // plotting (one row per pulse, plus a per-round quality summary).
+//
+// Kept for crusader_cli's --pulses-csv/--rounds-csv only; ROADMAP's
+// bench/example-zoo item retires both together once sweep_cli --explain
+// exists.
 
 #include <iosfwd>
 

@@ -1,14 +1,12 @@
 #include "sync/approx_agreement.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/params.hpp"
 #include "util/check.hpp"
 
 namespace crusader::sync {
@@ -96,26 +94,13 @@ void ApaNode::finish_iteration() {
     else
       ++bots;
   }
-  current_ = select_midpoint(std::move(values), f_, bots);
+  // Every ⊥ output identifies one faulty dealer whose value is already
+  // excluded, so only f−b potentially-faulty values can hide on each side.
+  current_ = core::trimmed_midpoint(std::move(values),
+                                    f_ > bots ? f_ - bots : 0);
   trajectory_.push_back(current_);
   bot_counts_.push_back(bots);
   ++completed_;
-}
-
-double ApaNode::select_midpoint(std::vector<double> values, std::uint32_t f,
-                                std::uint32_t bot_count) {
-  CS_CHECK_MSG(!values.empty(), "no non-bot values to select from");
-  std::sort(values.begin(), values.end());
-  // Every ⊥ output identifies one faulty dealer whose value is already
-  // excluded, so only f−b potentially-faulty values can hide on each side.
-  const std::uint32_t discard =
-      f > bot_count ? f - bot_count : 0;
-  CS_CHECK_MSG(values.size() > 2 * static_cast<std::size_t>(discard),
-               "discarding " << discard << " per side leaves nothing of "
-                             << values.size());
-  const double lo = values[discard];
-  const double hi = values[values.size() - 1 - discard];
-  return (lo + hi) / 2.0;
 }
 
 ApaRunResult run_apa(std::uint32_t n, std::uint32_t f,

@@ -11,6 +11,11 @@
 //
 // Theorem 9: one iteration is (ℓ, ℓ/2, ⌈n/2⌉−1)-secure. Corollary 2:
 // ⌈log₂(ℓ/ε)⌉ iterations (2⌈log₂(ℓ/ε)⌉ rounds) give ε-consistency.
+// The selection rule itself is core::trimmed_midpoint, shared with CPS and
+// Lynch–Welch.
+//
+// Kept although no runner cell reaches it: its tests and the E1 bench pin
+// Theorem 9 and Corollary 2, which no world-level test pins.
 
 #include <cstdint>
 #include <memory>
@@ -44,14 +49,6 @@ class ApaNode final : public SyncProtocol {
   [[nodiscard]] const std::vector<std::uint32_t>& bot_counts() const noexcept {
     return bot_counts_;
   }
-
-  /// The Figure-1 selection rule, exposed for reuse (CPS uses the identical
-  /// rule on offset estimates — Figure 3) and for direct unit-testing.
-  /// `values` are the non-⊥ values; `bot_count` is b. Returns the midpoint
-  /// of the interval spanned after discarding max(0, f-b) from each side.
-  [[nodiscard]] static double select_midpoint(std::vector<double> values,
-                                              std::uint32_t f,
-                                              std::uint32_t bot_count);
 
  private:
   void begin_iteration();

@@ -13,6 +13,10 @@
 // unforgeability alone; resilience matters for the *uses* of CB).
 //
 // Generalized from bits to real values, which is what APA needs.
+//
+// Kept although no runner cell reaches it: its tests pin Definition 6
+// (validity, crusader consistency) against silent, equivocating and
+// partially delivering dealers, which no world-level test pins.
 
 #include <cstdint>
 #include <optional>

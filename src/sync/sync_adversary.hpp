@@ -5,6 +5,9 @@
 // dealer broadcasts, phase 1 carries echoes. All strategies honor the model:
 // they sign only with faulty keys and replay only observed honest signatures
 // (the executor enforces this).
+//
+// Kept although no runner cell reaches it: these are the adversaries under
+// which Theorem 9, Corollary 2 and Definition 6 are pinned.
 
 #include <cstdint>
 #include <map>

@@ -4,6 +4,10 @@
 // the current round before choosing its own).
 //
 // Used by Crusader Broadcast (Figure 4) and Approximate Agreement (Figure 1).
+//
+// Kept although no runner cell reaches it: it is the round model under
+// which the tests pin Figure 1, Theorem 9 / Corollary 2 and Figure 4 /
+// Definition 6, which no world-level test pins.
 
 #include <cstdint>
 #include <map>

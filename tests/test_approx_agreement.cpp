@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/params.hpp"
 #include "sync/sync_adversary.hpp"
 #include "util/check.hpp"
 
@@ -48,24 +49,34 @@ HonestRange honest_range(const std::vector<double>& values,
   return r;
 }
 
+// The Figure-1 selection rule, shared with CPS and Lynch–Welch as
+// core::trimmed_midpoint; APA discards max(0, f − b) per side.
 TEST(Apa, SelectMidpointBasics) {
   // f=2, no bots: discard two per side.
-  EXPECT_DOUBLE_EQ(
-      ApaNode::select_midpoint({-100, 0, 1, 2, 100}, 2, 0), 1.0);
+  EXPECT_DOUBLE_EQ(core::trimmed_midpoint({-100, 0, 1, 2, 100}, 2), 1.0);
   // f=2, one bot: discard one per side.
-  EXPECT_DOUBLE_EQ(ApaNode::select_midpoint({-100, 0, 2, 100}, 2, 1), 1.0);
+  EXPECT_DOUBLE_EQ(core::trimmed_midpoint({-100, 0, 2, 100}, 1), 1.0);
   // bots == f: no discard.
-  EXPECT_DOUBLE_EQ(ApaNode::select_midpoint({0, 4}, 2, 2), 2.0);
-  // bots > f (outside contract, robust clamp): no discard.
-  EXPECT_DOUBLE_EQ(ApaNode::select_midpoint({1, 3}, 1, 5), 2.0);
+  EXPECT_DOUBLE_EQ(core::trimmed_midpoint({0, 4}, 0), 2.0);
+  // Unsorted input is sorted first.
+  EXPECT_DOUBLE_EQ(core::trimmed_midpoint({100, 2, -100, 0, 1}, 2), 1.0);
+
+  // bots > f (outside contract): APA clamps f − b to 0 and discards
+  // nothing. Two silent dealers against f = 1 leave {1, 3, 5}.
+  const std::uint32_t n = 5;
+  crypto::Pki pki(n, crypto::Pki::Kind::kSymbolic, 1);
+  const std::vector<bool> mask = faulty_mask(n, 2);
+  const auto result = run_apa(n, /*f=*/1, mask, {1.0, 3.0, 5.0, 0.0, 0.0},
+                              /*iterations=*/1, nullptr, pki);
+  for (NodeId v = 0; v < 3; ++v) EXPECT_DOUBLE_EQ(result.outputs[v], 3.0);
 }
 
 TEST(Apa, SelectMidpointEmptyThrows) {
-  EXPECT_THROW((void)ApaNode::select_midpoint({}, 1, 0), util::CheckFailure);
+  EXPECT_THROW((void)core::trimmed_midpoint({}, 0), util::CheckFailure);
 }
 
 TEST(Apa, SelectMidpointOverDiscardThrows) {
-  EXPECT_THROW((void)ApaNode::select_midpoint({1.0, 2.0}, 1, 0),
+  EXPECT_THROW((void)core::trimmed_midpoint({1.0, 2.0}, 1),
                util::CheckFailure);
 }
 

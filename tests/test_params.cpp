@@ -117,8 +117,8 @@ TEST(ParamSolver, PeriodsMatchTheorem17) {
 }
 
 TEST(ParamSolver, PminExceedsDPlusS) {
-  // Needed by the synchronizer application (round-r messages arrive before
-  // pulse r+1); holds whenever d > 2u.
+  // Needed by the synchronizer application of the paper's introduction
+  // (round-r messages arrive before pulse r+1); holds whenever d > 2u.
   for (double u : {0.01, 0.1, 0.3}) {
     const auto p = derive_cps_params(model(1.0, u, 1.005));
     ASSERT_TRUE(p.feasible);
