@@ -72,7 +72,7 @@
 //                              search weakly dominates greedy-skew)
 // Scalars:
 //   --d=1.0 --rounds=20 --warmup=5 --seed=1 --threads=1 --slack=1.0
-//                  (--rounds >= 1, --threads <= 1024)
+//                  (--rounds >= 1, --warmup < --rounds, --threads <= 1024)
 //   --gate=RATIO   fail (exit 1) when any scenario errored/timed out or any
 //                  feasible completed scenario has max_skew/bound > RATIO —
 //                  or, for theorem5 scenarios, fails to realize its lower
@@ -165,6 +165,17 @@ std::uint64_t need_u64(const std::string& key, const std::string& value) {
   return *parsed;
 }
 
+/// The kRatioGates row that `key` (a dash or underscore spelling of its
+/// flag) names, or std::size(runner::kRatioGates) when none does.
+std::size_t ratio_gate_row(std::string key) {
+  std::replace(key.begin(), key.end(), '_', '-');
+  std::size_t g = 0;
+  while (g < std::size(runner::kRatioGates) &&
+         runner::kRatioGates[g].flag != key)
+    ++g;
+  return g;
+}
+
 void print_table(std::ostream& os, const runner::SweepReport& report) {
   util::Table table("scenario sweep (" +
                     std::to_string(report.results.size()) + " scenarios)");
@@ -222,9 +233,11 @@ int main(int argc, char** argv) {
   std::string history_path;
   std::size_t checkpoint_every = 32;
   std::optional<double> gate;
-  std::optional<double> gate_local;
-  std::optional<double> gate_kllo;
   std::optional<double> gate_trend;
+  // Streaming accumulators: the gate, the history line, and the fault-free
+  // CPS auto-gate are all computed row by row, so the campaign path never
+  // retains a report. The ratio-gate thresholds land here as flags are read.
+  runner::SweepSummary summary;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -264,10 +277,9 @@ int main(int argc, char** argv) {
         options.threads = static_cast<unsigned>(threads);
       } else if (key == "gate") {
         gate = need_double(key, value);
-      } else if (key == "gate-local" || key == "gate_local") {
-        gate_local = need_double(key, value);
-      } else if (key == "gate-kllo" || key == "gate_kllo") {
-        gate_kllo = need_double(key, value);
+      } else if (const auto g = ratio_gate_row(key);
+                 g < std::size(runner::kRatioGates)) {
+        summary.ratio_gates[g] = need_double(key, value);
       } else if (key == "gate-trend" || key == "gate_trend") {
         const double pct = need_double(key, value);
         if (pct < 0.0)
@@ -309,6 +321,12 @@ int main(int argc, char** argv) {
     return fail("--resume requires --format=csv and --out=FILE");
   if (gate_trend && history_path.empty())
     return fail("--gate-trend requires --history=FILE");
+  // Steady-state statistics read rounds [warmup, rounds); an empty window
+  // would leave steady_skew and the percentiles blank on every row.
+  if (grid.warmup >= grid.rounds)
+    return fail("--warmup takes a count < --rounds (" +
+                std::to_string(grid.rounds) + "), got '" +
+                std::to_string(grid.warmup) + "'");
 
   // The flat-world default n axis {4,7,9} makes poor sparse topologies (a
   // hypercube needs a power of two). When every requested world is
@@ -325,13 +343,7 @@ int main(int argc, char** argv) {
   const auto specs = grid.expand();
   if (specs.empty()) return fail("empty grid");
 
-  // Streaming accumulators: the gate, the history line, and the fault-free
-  // CPS auto-gate are all computed row by row, so the campaign path never
-  // retains a report.
-  runner::SweepSummary summary;
   summary.gate_ratio = gate;
-  summary.local_gate_ratio = gate_local;
-  summary.kllo_gate_ratio = gate_kllo;
   bool cps_bound_violated = false;
   auto note = [&](const runner::ScenarioResult& r) {
     summary.add(r);
@@ -415,14 +427,12 @@ int main(int argc, char** argv) {
               << summary.gate_violations << " scenario(s)\n";
     status = 1;
   }
-  if (gate_local && summary.local_gate_violations > 0) {
-    std::cerr << "sweep_cli: --gate-local=" << *gate_local << " tripped by "
-              << summary.local_gate_violations << " scenario(s)\n";
-    status = 1;
-  }
-  if (gate_kllo && summary.kllo_gate_violations > 0) {
-    std::cerr << "sweep_cli: --gate-kllo=" << *gate_kllo << " tripped by "
-              << summary.kllo_gate_violations << " scenario(s)\n";
+  for (std::size_t g = 0; g < std::size(runner::kRatioGates); ++g) {
+    if (!summary.ratio_gates[g] || summary.ratio_gate_violations[g] == 0)
+      continue;
+    std::cerr << "sweep_cli: --" << runner::kRatioGates[g].flag << "="
+              << *summary.ratio_gates[g] << " tripped by "
+              << summary.ratio_gate_violations[g] << " scenario(s)\n";
     status = 1;
   }
 

@@ -32,6 +32,11 @@ interleaving has to land in CI:
                    order is allocation order; iterating such a container
                    into any output reintroduces address-space nondeterminism
                    (ASLR) that no seed controls.
+  source-location  __FILE__, __LINE__, __FILE_NAME__, __builtin_FILE/LINE
+                   or std::source_location in src/. Text built from them
+                   reaches errored rows' `error` column, whose bytes would
+                   then depend on where the repo is checked out and on
+                   which line a check sits.
 
 Escape hatch: a comment containing `lint:allow(<rule>[, <rule>...])`
 suppresses those rules on its own line and the immediately following line.
@@ -64,6 +69,8 @@ RULES = {
         "float formatted outside util::fmt_double (breaks byte-identity)",
     "pointer-key":
         "ordered container keyed on a pointer (iteration order = allocation order)",
+    "source-location":
+        "source file/line in program text (output bytes would depend on the checkout)",
 }
 
 ALLOW_RE = re.compile(r"lint:allow\(\s*([a-z\-,\s]+?)\s*\)")
@@ -88,6 +95,10 @@ PRINTF_FLOAT_RE = re.compile(r"%[-+ #0-9.*hlL]*[efgaEFGA]")
 
 POINTER_KEY_RE = re.compile(
     r"\bstd::map\s*<[^,<>]*\*[^,<>]*,|\bstd::set\s*<[^,<>]*\*[^<>]*>")
+
+SOURCE_LOCATION_RE = re.compile(
+    r"\b__FILE__\b|\b__LINE__\b|\b__FILE_NAME__\b"
+    r"|\b__builtin_(?:FILE|LINE)\b|\bsource_location\b")
 
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(?:map|set)\s*<")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -278,6 +289,8 @@ def lint_file(path, display_path):
                    "stream precision state; use util::fmt_double")
         if POINTER_KEY_RE.search(line):
             report(no, "pointer-key", "ordered container keyed on a pointer")
+        if SOURCE_LOCATION_RE.search(line):
+            report(no, "source-location", "source file/line in program text")
 
     for no, line in enumerate(text_ns_lines, 1):
         if PRINTF_CALL_RE.search(line) and PRINTF_FLOAT_RE.search(line):

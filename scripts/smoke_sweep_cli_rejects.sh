@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI smoke for sweep_cli's flag validation (registered as the ctest
 # `smoke_sweep_cli_rejects`, label `integration`): one malformed value for
-# every list flag, the empty lists that must fail loudly, and the strict
-# numeric scalars. Each must exit 2 before any cell runs, with exactly the
-# stderr line below. expect_reject takes the flags, then that line.
+# every list flag, the empty lists that must fail loudly, the strict
+# numeric scalars, and a warmup that leaves no steady-state round. Each must
+# exit 2 before any cell runs, with exactly the stderr line below.
+# expect_reject takes the flags, then that line.
 #
 # Usage: smoke_sweep_cli_rejects.sh <path-to-sweep_cli> <workdir>
 set -euo pipefail
@@ -88,6 +89,11 @@ expect_reject --gate=1.0x "sweep_cli: bad numeric value for --gate: '1.0x'"
 # max_rounds = 0 means "no cap" inside the protocols, so a zero round count
 # would run the horizon's rounds and report them under rounds=0.
 expect_reject --rounds=0 "sweep_cli: --rounds takes a count >= 1, got '0'"
+# Steady-state statistics read rounds [warmup, rounds): with the default
+# warmup of 5 and the --rounds=1 appended above, no round would be left and
+# steady_skew, skew_p50 and skew_p99 would be blank on every row.
+expect_reject --protocols=cps --n=4 --faults=0 \
+  "sweep_cli: --warmup takes a count < --rounds (1), got '5'"
 
 if [[ $failures -ne 0 ]]; then
   echo "smoke_sweep_cli_rejects: $failures check(s) failed"

@@ -129,6 +129,41 @@ std::uint64_t relay_analysis_key(const ScenarioSpec& spec,
   return h;
 }
 
+/// The graph a relay cell of `spec` floods over: the spec.topology family at
+/// spec.n. Random topologies are grown for spec.f from the scenario `seed`,
+/// so the realized graph is a pure function of (base_seed, spec) —
+/// independent of threads and grid position. Throws util::CheckFailure for a
+/// size the family does not come in.
+relay::Topology relay_topology(const ScenarioSpec& spec, std::uint64_t seed) {
+  switch (spec.topology) {
+    case TopologyKind::kComplete:
+      return relay::Topology::complete(spec.n);
+    case TopologyKind::kRing:
+      return relay::Topology::ring(spec.n);
+    case TopologyKind::kChordalRing:
+      CS_CHECK_MSG(spec.n >= 3,
+                   "chordal-ring topology requires n >= 3");
+      return relay::Topology::chordal_ring(spec.n, 2);
+    case TopologyKind::kRingOfCliques:
+      CS_CHECK_MSG(spec.n >= 8 && spec.n % 4 == 0,
+                   "ring-of-cliques topology requires n to be a multiple of "
+                   "4 with at least two cliques");
+      return relay::Topology::ring_of_cliques(spec.n / 4, 4, 2);
+    case TopologyKind::kHypercube: {
+      CS_CHECK_MSG(spec.n >= 2 && (spec.n & (spec.n - 1)) == 0,
+                   "hypercube topology requires n to be a power of two");
+      std::uint32_t dim = 0;
+      while ((1u << dim) < spec.n) ++dim;
+      return relay::Topology::hypercube(dim);
+    }
+    case TopologyKind::kRandomConnected:
+      return relay::Topology::random_connected(spec.n, spec.f,
+                                               seed ^ 0x70701063ULL);
+  }
+  CS_CHECK_MSG(false, "unknown topology kind");
+  return relay::Topology::complete(spec.n);
+}
+
 /// Appendix-A path: flood the protocol over a sparse (f+1)-connected
 /// topology; the bound is Theorem 17 evaluated at the effective model. A
 /// dynamic spec additionally generates the churn schedule from the scenario
@@ -437,39 +472,6 @@ bool admits(TrendSeries::Rows rows, const ScenarioSpec& spec) {
 
 }  // namespace
 
-// Random topologies are grown from the scenario seed, so the realized graph
-// is a pure function of (base_seed, spec) — independent of threads and grid
-// position.
-relay::Topology relay_topology(const ScenarioSpec& spec, std::uint64_t seed) {
-  switch (spec.topology) {
-    case TopologyKind::kComplete:
-      return relay::Topology::complete(spec.n);
-    case TopologyKind::kRing:
-      return relay::Topology::ring(spec.n);
-    case TopologyKind::kChordalRing:
-      CS_CHECK_MSG(spec.n >= 3,
-                   "chordal-ring topology requires n >= 3");
-      return relay::Topology::chordal_ring(spec.n, 2);
-    case TopologyKind::kRingOfCliques:
-      CS_CHECK_MSG(spec.n >= 8 && spec.n % 4 == 0,
-                   "ring-of-cliques topology requires n to be a multiple of "
-                   "4 with at least two cliques");
-      return relay::Topology::ring_of_cliques(spec.n / 4, 4, 2);
-    case TopologyKind::kHypercube: {
-      CS_CHECK_MSG(spec.n >= 2 && (spec.n & (spec.n - 1)) == 0,
-                   "hypercube topology requires n to be a power of two");
-      std::uint32_t dim = 0;
-      while ((1u << dim) < spec.n) ++dim;
-      return relay::Topology::hypercube(dim);
-    }
-    case TopologyKind::kRandomConnected:
-      return relay::Topology::random_connected(spec.n, spec.f,
-                                               seed ^ 0x70701063ULL);
-  }
-  CS_CHECK_MSG(false, "unknown topology kind");
-  return relay::Topology::complete(spec.n);
-}
-
 std::uint64_t scenario_seed(const ScenarioSpec& spec,
                             std::uint64_t base_seed) noexcept {
   return util::Rng(base_seed).fork(spec.key()).next_u64();
@@ -609,12 +611,12 @@ std::size_t count_gate_violations(const SweepReport& report,
 void SweepSummary::add(const ScenarioResult& result) {
   ++scenarios;
   if (gate_ratio && violates_gate(result, *gate_ratio)) ++gate_violations;
-  if (local_gate_ratio && std::isfinite(result.local_skew_ratio) &&
-      result.local_skew_ratio > *local_gate_ratio + 1e-9)
-    ++local_gate_violations;
-  if (kllo_gate_ratio && std::isfinite(result.kllo_ratio) &&
-      result.kllo_ratio > *kllo_gate_ratio + 1e-9)
-    ++kllo_gate_violations;
+  for (std::size_t g = 0; g < std::size(kRatioGates); ++g) {
+    const double value = result.*kRatioGates[g].value;
+    if (ratio_gates[g] && std::isfinite(value) &&
+        value > *ratio_gates[g] + 1e-9)
+      ++ratio_gate_violations[g];
+  }
   if (result.timed_out) ++timed_out;
   if (!result.error.empty()) {
     ++errors;

@@ -158,12 +158,6 @@ struct SweepReport {
 [[nodiscard]] std::uint64_t scenario_seed(const ScenarioSpec& spec,
                                           std::uint64_t base_seed) noexcept;
 
-/// The graph a relay cell of `spec` floods over: the spec.topology family at
-/// spec.n (the random family grown for spec.f from the scenario `seed`).
-/// Throws util::CheckFailure for a size the family does not come in.
-[[nodiscard]] relay::Topology relay_topology(const ScenarioSpec& spec,
-                                             std::uint64_t seed);
-
 /// Run one scenario to completion. Never throws: failures are reported in
 /// ScenarioResult::error.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
@@ -202,7 +196,7 @@ void run_sweep_streamed(const std::vector<ScenarioSpec>& specs,
 /// always violate (a green gate means every cell actually ran); infeasible
 /// rows never do (the protocol provably cannot run there); dynamic cells
 /// violate by failing liveness (Theorem 17's premises lapse mid-churn, so
-/// the ratio is diagnostic, not a gate — use SweepSummary's local gate for
+/// the ratio is diagnostic, not a gate — use kRatioGates' local gate for
 /// that); completed static rows violate when their realized-vs-bound ratio
 /// is out of spec — skew_ratio > max_ratio for upper-bound worlds, bound
 /// not realized (within_bound == false) for kTheorem5.
@@ -252,31 +246,43 @@ inline constexpr TrendSeries kTrendSeries[] = {
      &ScenarioResult::skew_ratio, false},
 };
 
+/// A per-row ratio gate beside --gate: `--<flag>=R` fails the sweep when any
+/// row's `value` exceeds R. It binds on every row where the value is finite —
+/// dynamic cells included, where the --gate ratio is suspended — and a NaN
+/// row (errored, timed out, or outside the worlds that define the metric)
+/// never counts: errors and timeouts are the main gate's business. Unlike
+/// kTrendSeries there is no row filter.
+struct RatioGate {
+  std::string_view flag;  ///< without "--"; sweep_cli also takes '_' for '-'
+  double ScenarioResult::*value;
+};
+
+/// Every ratio gate, in flag-reading and stderr-report order. Adding a gate
+/// is one new row.
+inline constexpr RatioGate kRatioGates[] = {
+    // The world-aware gradient gate: local_skew / bound.
+    {"gate-local", &ScenarioResult::local_skew_ratio},
+    // The per-edge-age envelope gate (1.0 = the KLLO envelope itself),
+    // defined on relay rows with completed rounds.
+    {"gate-kllo", &ScenarioResult::kllo_ratio},
+};
+
 /// Streaming cross-scenario aggregate for the gate, the history file, and
 /// the trend check: per-world trend-series stats plus failure counters,
 /// accumulable one result at a time so large campaigns never retain rows.
 struct SweepSummary {
   /// When set, add() also counts violates_gate(result, *gate_ratio).
   std::optional<double> gate_ratio;
-  /// When set, add() also counts rows whose local_skew_ratio exceeds it
-  /// (rows with no finite local ratio never count — errors and timeouts are
-  /// the main gate's business). This is the world-aware gradient gate: it
-  /// binds wherever the local metric is defined, including dynamic cells
-  /// where the global ratio gate is suspended.
-  std::optional<double> local_gate_ratio;
-  /// When set, add() counts rows whose kllo_ratio exceeds it — the
-  /// per-edge-age envelope gate (1.0 = the KLLO envelope itself). Binds
-  /// wherever the kllo metric is defined (relay rows with completed
-  /// rounds); rows without it never count.
-  std::optional<double> kllo_gate_ratio;
+  /// Per kRatioGates row: when set, add() counts the rows whose finite value
+  /// exceeds it in the same row of ratio_gate_violations.
+  std::array<std::optional<double>, std::size(kRatioGates)> ratio_gates;
 
   std::size_t scenarios = 0;
   std::size_t errors = 0;
   std::size_t timed_out = 0;
   std::size_t infeasible = 0;
   std::size_t gate_violations = 0;
-  std::size_t local_gate_violations = 0;
-  std::size_t kllo_gate_violations = 0;
+  std::array<std::size_t, std::size(kRatioGates)> ratio_gate_violations{};
 
   struct WorldStats {
     WorldKind world = WorldKind::kComplete;

@@ -92,8 +92,8 @@ inline constexpr util::Spelling<CryptoMode> kCryptoSpellings[] = {
 [[nodiscard]] const char* to_string(TopologyKind kind);
 [[nodiscard]] const char* to_string(CryptoMode mode);
 
-// CLI-facing parsers (shared by SweepGrid::set_axis, crusader_cli and the
-// tests that walk every spelling table). Each accepts exactly the rows of its
+// CLI-facing parsers (shared by SweepGrid::set_axis, sweep_cli and the tests
+// that walk every spelling table). Each accepts exactly the rows of its
 // enum's spelling table; unknown strings yield nullopt.
 [[nodiscard]] inline std::optional<WorldKind> parse_world(std::string_view s) {
   return util::parse_spelling(kWorldSpellings, s);

@@ -24,27 +24,29 @@ class ModelViolation : public std::runtime_error {
   explicit ModelViolation(const std::string& what) : std::runtime_error(what) {}
 };
 
-[[noreturn]] inline void check_fail(const char* expr, const char* file, int line,
+/// The message names the failed expression and the caller's text, never the
+/// source location: an errored row's `error` column carries it, and that row
+/// must not depend on where the repo is checked out or which line the check
+/// sits on.
+[[noreturn]] inline void check_fail(const char* expr,
                                     const std::string& msg) {
-  std::ostringstream oss;
-  oss << "CHECK failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) oss << " — " << msg;
-  throw CheckFailure(oss.str());
+  std::string what = std::string("CHECK failed: ") + expr;
+  if (!msg.empty()) what += " — " + msg;
+  throw CheckFailure(what);
 }
 
 }  // namespace crusader::util
 
-#define CS_CHECK(expr)                                                        \
-  do {                                                                        \
-    if (!(expr)) ::crusader::util::check_fail(#expr, __FILE__, __LINE__, ""); \
+#define CS_CHECK(expr)                                    \
+  do {                                                    \
+    if (!(expr)) ::crusader::util::check_fail(#expr, ""); \
   } while (0)
 
-#define CS_CHECK_MSG(expr, msg)                                       \
-  do {                                                                \
-    if (!(expr)) {                                                    \
-      std::ostringstream cs_check_oss;                                \
-      cs_check_oss << msg;                                            \
-      ::crusader::util::check_fail(#expr, __FILE__, __LINE__,         \
-                                   cs_check_oss.str());               \
-    }                                                                 \
+#define CS_CHECK_MSG(expr, msg)                                \
+  do {                                                         \
+    if (!(expr)) {                                             \
+      std::ostringstream cs_check_oss;                         \
+      cs_check_oss << msg;                                     \
+      ::crusader::util::check_fail(#expr, cs_check_oss.str()); \
+    }                                                          \
   } while (0)

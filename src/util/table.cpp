@@ -88,20 +88,4 @@ void Table::print(std::ostream& os) const {
   rule();
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      // Quote cells containing commas.
-      if (row[i].find(',') != std::string::npos)
-        os << '"' << row[i] << '"';
-      else
-        os << row[i];
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace crusader::util

@@ -1,5 +1,5 @@
 #pragma once
-// ASCII table / CSV writer used by every benchmark binary so that all
+// ASCII table writer used by every benchmark binary so that all
 // experiment tables share one consistent, paper-style format.
 
 #include <cstddef>
@@ -26,8 +26,6 @@ class Table {
 
   /// Render with box-drawing alignment to the stream.
   void print(std::ostream& os) const;
-  /// Render as CSV (header + rows).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }

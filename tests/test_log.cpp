@@ -1,6 +1,5 @@
-// Logger and trace-export coverage.
+// Logger coverage.
 
-#include <algorithm>
 #include <gtest/gtest.h>
 #include <map>
 #include <sstream>
@@ -8,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/trace_io.hpp"
 #include "util/log.hpp"
 
 namespace crusader {
@@ -90,36 +88,6 @@ TEST(Log, StreamMacroCompiles) {
   util::set_log_level(util::LogLevel::kOff);
   CS_DEBUG << "value " << 42;  // must not evaluate visibly nor crash
   CS_WARN << "warn " << 3.14;
-}
-
-sim::PulseTrace demo_trace() {
-  sim::PulseTrace trace(2, {false, true});
-  trace.record(0, 1.0, 1.5);
-  trace.record(0, 2.0, 2.5);
-  trace.record(1, 1.25, 1.25);
-  return trace;
-}
-
-TEST(TraceIo, PulsesCsvShape) {
-  std::ostringstream oss;
-  sim::write_pulses_csv(demo_trace(), oss);
-  const std::string out = oss.str();
-  EXPECT_NE(out.find("node,role,round,real_time,local_time"),
-            std::string::npos);
-  EXPECT_NE(out.find("0,honest,1,1,1.5"), std::string::npos);
-  EXPECT_NE(out.find("1,faulty,1,1.25,1.25"), std::string::npos);
-  // 3 pulses + header = 4 lines.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
-}
-
-TEST(TraceIo, RoundsCsvHonestOnly) {
-  std::ostringstream oss;
-  sim::write_rounds_csv(demo_trace(), oss);
-  const std::string out = oss.str();
-  // Only node 0 is honest: skew is 0 for both of its rounds.
-  EXPECT_NE(out.find("round,skew,min_pulse,max_pulse"), std::string::npos);
-  EXPECT_NE(out.find("1,0,1,1"), std::string::npos);
-  EXPECT_NE(out.find("2,0,2,2"), std::string::npos);
 }
 
 }  // namespace

@@ -38,6 +38,10 @@ namespace {
 
 constexpr std::uint32_t kInfDist = std::numeric_limits<std::uint32_t>::max();
 
+/// The kRatioGates row that --gate-kllo sets.
+constexpr std::size_t kKlloGate = 1;
+static_assert(kRatioGates[kKlloGate].flag == "gate-kllo");
+
 relay::ChurnPolicy churn_policy(double rate, std::uint32_t batch,
                                 relay::ReconnectPolicy reconnect =
                                     relay::ReconnectPolicy::kRandom) {
@@ -738,10 +742,10 @@ TEST(KlloGate, GradientPassesWhereJumpMaxFailsAcrossReconnectPolicies) {
 
     // The --gate-kllo accumulator trips on exactly the jump-max row.
     SweepSummary summary;
-    summary.kllo_gate_ratio = 1.0;
+    summary.ratio_gates[kKlloGate] = 1.0;
     summary.add(good);
     summary.add(bad);
-    EXPECT_EQ(summary.kllo_gate_violations, 1u)
+    EXPECT_EQ(summary.ratio_gate_violations[kKlloGate], 1u)
         << relay::to_string(reconnect);
     // Both cells stay live, so the liveness gate alone would pass both —
     // the envelope gate is what separates them.
@@ -792,7 +796,7 @@ TEST(KlloAcceptance, N256GateContrastIsByteStableAcrossEnginePaths) {
   EXPECT_EQ(reference, csv_for(false, 1));
 
   SweepSummary summary;
-  summary.kllo_gate_ratio = 1.0;
+  summary.ratio_gates[kKlloGate] = 1.0;
   std::optional<ScenarioResult> gradient;
   std::optional<ScenarioResult> jump_max;
   run_sweep_streamed(specs, {}, [&](const ScenarioResult& r) {
@@ -806,7 +810,7 @@ TEST(KlloAcceptance, N256GateContrastIsByteStableAcrossEnginePaths) {
   EXPECT_EQ(gradient->kllo_violations, 0u);
   EXPECT_GT(jump_max->kllo_ratio, 1.0);
   EXPECT_GT(jump_max->kllo_violations, 0u);
-  EXPECT_EQ(summary.kllo_gate_violations, 1u);
+  EXPECT_EQ(summary.ratio_gate_violations[kKlloGate], 1u);
   // Churn keeps rewiring, so the last round's youngest measured edge is
   // fresh — the fresh-edge allowance is load-bearing, not hypothetical.
   EXPECT_TRUE(std::isfinite(gradient->edge_age_min));
@@ -829,7 +833,7 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
   };
 
   SweepSummary fresh;
-  fresh.kllo_gate_ratio = 1.0;
+  fresh.ratio_gates[kKlloGate] = 1.0;
   {
     CsvCampaign campaign({clean_csv, clean_manifest, 1, 1}, specs);
     run_sweep_streamed(specs, {}, [&](const ScenarioResult& r) {
@@ -846,7 +850,7 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
     campaign.append(run_scenario(specs[0]));
   }
   SweepSummary resumed_summary;
-  resumed_summary.kllo_gate_ratio = 1.0;
+  resumed_summary.ratio_gates[kKlloGate] = 1.0;
   CsvCampaign resumed({csv, manifest, 1, 1}, specs,
                       [&](const ScenarioResult& r) {
                         EXPECT_TRUE(std::isfinite(r.kllo_ratio));
@@ -861,8 +865,8 @@ TEST(KlloAcceptance, N256CampaignResumeAndHistoryRoundTrip) {
   });
   resumed.finish();
   EXPECT_EQ(slurp(csv), slurp(clean_csv));
-  EXPECT_EQ(resumed_summary.kllo_gate_violations,
-            fresh.kllo_gate_violations);
+  EXPECT_EQ(resumed_summary.ratio_gate_violations[kKlloGate],
+            fresh.ratio_gate_violations[kKlloGate]);
 
   // History: the k-tokens survive format → parse, and the resumed summary
   // produces the byte-identical line.

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,36 @@ TEST(RelayWorldSweep, HypercubeRejectsNonPowerOfTwo) {
   const auto r = run_scenario(spec);
   EXPECT_FALSE(r.error.empty());
   EXPECT_NE(r.error.find("power of two"), std::string::npos) << r.error;
+}
+
+// The error column is part of the CSV, so its bytes must not depend on where
+// the repo is checked out or on which line the failed check sits: the text
+// names the check and its reason, never a source location. This is the one
+// cell of `sweep_cli --world=relay --protocols=cps --topology=hypercube
+// --n=12 --faults=0 --delays=random --rounds=4 --warmup=1`, which exits 1
+// on it (ctest smoke_sweep_error_row).
+TEST(RelayWorldSweep, ErrorColumnNamesTheCheckNotItsLocation) {
+  SweepGrid grid;
+  grid.worlds = {WorldKind::kRelay};
+  grid.protocols = {baselines::ProtocolKind::kCps};
+  grid.ns = {12};
+  grid.fault_loads = {0};
+  grid.topologies = {TopologyKind::kHypercube};
+  grid.delays = {sim::DelayKind::kRandom};
+  grid.rounds = 4;
+  grid.warmup = 1;
+  const auto specs = grid.expand();
+  ASSERT_EQ(specs.size(), 1u);
+  const auto r = run_scenario(specs[0]);
+  const std::string want =
+      "CHECK failed: spec.n >= 2 && (spec.n & (spec.n - 1)) == 0 — "
+      "hypercube topology requires n to be a power of two";
+  EXPECT_EQ(r.error, want);
+  std::ostringstream row;
+  write_csv_row(row, r);
+  const std::string tail = "," + want + "\n";
+  ASSERT_GE(row.str().size(), tail.size());
+  EXPECT_EQ(row.str().substr(row.str().size() - tail.size()), tail);
 }
 
 TEST(Topology, HypercubeAndRandomConnectedFactories) {
@@ -306,6 +337,47 @@ TEST(MixedWorldSweep, GateCountsOutOfSpecRatios) {
   at_bound.skew_ratio = 1.0 + 1e-14;
   at_bound.within_bound = true;
   EXPECT_FALSE(violates_gate(at_bound, 1.0));
+}
+
+// --gate-local and --gate-kllo (kRatioGates) count the rows whose finite
+// ratio exceeds the threshold; a NaN ratio never counts, and an unset gate
+// counts nothing.
+TEST(MixedWorldSweep, RatioGatesCountRowsAboveTheirThreshold) {
+  static_assert(std::size(kRatioGates) == 2);
+  ASSERT_EQ(kRatioGates[0].flag, "gate-local");
+  ASSERT_EQ(kRatioGates[1].flag, "gate-kllo");
+  SweepGrid grid;
+  grid.worlds = {WorldKind::kComplete, WorldKind::kRelay};
+  grid.protocols = {baselines::ProtocolKind::kSrikanthToueg,
+                    baselines::ProtocolKind::kJumpMax};
+  grid.ns = {8};
+  grid.fault_loads = {0};
+  grid.topologies = {TopologyKind::kRing};
+  grid.delays = {sim::DelayKind::kRandom};
+  grid.rounds = 8;
+  grid.warmup = 2;
+  const auto specs = grid.expand();
+  ASSERT_EQ(specs.size(), 4u);
+
+  // local_skew_ratio: ~0.04 and ~0.28 on the complete graph, ~0.02 and
+  // ~0.28 over the ring. kllo_ratio: NaN on the complete graph, ~0.04 and
+  // ~0.57 over the ring. Srikanth-Toueg sits below both thresholds, jump-max
+  // above them.
+  SweepSummary gated;
+  gated.ratio_gates = {0.1, 0.3};
+  SweepSummary ungated;
+  std::size_t finite_kllo = 0;
+  for (const auto& r : run_sweep(specs).results) {
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    if (std::isfinite(r.kllo_ratio)) ++finite_kllo;
+    gated.add(r);
+    ungated.add(r);
+  }
+  EXPECT_EQ(finite_kllo, 2u);
+  EXPECT_EQ(gated.ratio_gate_violations[0], 2u);  // jump-max, both worlds
+  EXPECT_EQ(gated.ratio_gate_violations[1], 1u);  // jump-max over the ring
+  EXPECT_EQ(ungated.ratio_gate_violations[0], 0u);
+  EXPECT_EQ(ungated.ratio_gate_violations[1], 0u);
 }
 
 TEST(MixedWorldSweep, GateOnRealSweepPassesAtOne) {

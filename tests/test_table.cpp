@@ -45,15 +45,6 @@ TEST(Table, RowWidthMismatchThrows) {
   EXPECT_THROW(t.add_row({"only one"}), CheckFailure);
 }
 
-TEST(Table, CsvEscapesCommas) {
-  Table t;
-  t.set_header({"k", "v"});
-  t.add_row({"a,b", "2"});
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_NE(oss.str().find("\"a,b\""), std::string::npos);
-}
-
 TEST(Table, NumberFormatters) {
   EXPECT_EQ(Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::integer(-42), "-42");
