@@ -18,8 +18,10 @@
 // reference; batched delivery; batched delivery on an abstract-crypto row,
 // which runs the same signature scheme and so times like the batched row),
 // the reference and batched rows again under random delays (one delivery
-// segment per receiver, all walked by one queue entry per broadcast), then
-// one 2^20-node hypercube flood-probe cell under a wall budget. With
+// segment per receiver, all walked by one queue entry per broadcast), the
+// pair again on a max-fault cell whose Byzantine echoes are batched once the
+// Dolev–Yao check passes, then one 2^20-node hypercube flood-probe cell
+// under a wall budget. With
 // --json the E14 numbers are written as a BENCH_*.json artifact; with
 // --history/--gate-trend the dimensionless cost ratio (fast seconds /
 // reference seconds) rides the runner's skew-ratio history machinery so CI
@@ -91,6 +93,20 @@ TimedRun timed_scenario(const runner::ScenarioSpec& spec,
   return run;
 }
 
+/// One E14 table row: `run` with its speedup over the per-receiver
+/// `reference` run of the same cell.
+void add_speed_row(util::Table& table, const char* label, const TimedRun& run,
+                   const TimedRun& reference) {
+  table.add_row(
+      {label, std::to_string(run.result.events),
+       util::Table::num(run.seconds, 3),
+       util::Table::num(run.events_per_sec(), 0),
+       util::Table::num(run.events_per_sec() /
+                            std::max(reference.events_per_sec(), 1e-9),
+                        2) +
+           "x"});
+}
+
 /// E14's machine-readable summary (the BENCH_*.json artifact).
 struct E14Summary {
   double reference_events_per_sec = 0.0;
@@ -101,6 +117,9 @@ struct E14Summary {
   double random_reference_events_per_sec = 0.0;  ///< random-delay rows
   double random_batched_events_per_sec = 0.0;
   double random_speedup = 0.0;  ///< random batched vs random reference
+  double faulty_reference_events_per_sec = 0.0;  ///< max-fault byz rows
+  double faulty_batched_events_per_sec = 0.0;
+  double faulty_speedup = 0.0;  ///< faulty batched vs faulty reference
   double large_n_seconds = 0.0;
   double large_n_events_per_sec = 0.0;
   std::uint64_t large_n_nodes = 0;
@@ -151,6 +170,11 @@ void write_json(const std::string& path, const E14Summary& s,
       << "    \"random_batched_events_per_sec\": "
       << s.random_batched_events_per_sec << ",\n"
       << "    \"random_speedup\": " << s.random_speedup << ",\n"
+      << "    \"faulty_reference_events_per_sec\": "
+      << s.faulty_reference_events_per_sec << ",\n"
+      << "    \"faulty_batched_events_per_sec\": "
+      << s.faulty_batched_events_per_sec << ",\n"
+      << "    \"faulty_speedup\": " << s.faulty_speedup << ",\n"
       << "    \"large_n_nodes\": " << s.large_n_nodes << ",\n"
       << "    \"large_n_seconds\": " << s.large_n_seconds << ",\n"
       << "    \"large_n_events_per_sec\": " << s.large_n_events_per_sec
@@ -411,19 +435,10 @@ int run_bench(const std::optional<std::string>& json_path,
       "fault-free, split delays; identical results, wall clock only)");
   fp_table.set_header(
       {"configuration", "events", "seconds", "events/sec", "speedup"});
-  auto fp_row = [&](const char* label, const TimedRun& run) {
-    fp_table.add_row({label, std::to_string(run.result.events),
-                      util::Table::num(run.seconds, 3),
-                      util::Table::num(run.events_per_sec(), 0),
-                      util::Table::num(run.events_per_sec() /
-                                           std::max(reference.events_per_sec(),
-                                                    1e-9),
-                                       2) +
-                          "x"});
-  };
-  fp_row("per-receiver reference", reference);
-  fp_row("batched delivery", batched);
-  fp_row("batched delivery, abstract label", fast);
+  add_speed_row(fp_table, "per-receiver reference", reference, reference);
+  add_speed_row(fp_table, "batched delivery", batched, reference);
+  add_speed_row(fp_table, "batched delivery, abstract label", fast,
+                reference);
   bench::print(fp_table);
 
   // The same cell under random delays: nearly every receiver is its own
@@ -448,19 +463,43 @@ int run_bench(const std::optional<std::string>& json_path,
       "rounds (identical results, wall clock only)");
   random_table.set_header(
       {"configuration", "events", "seconds", "events/sec", "speedup"});
-  auto random_row = [&](const char* label, const TimedRun& run) {
-    random_table.add_row(
-        {label, std::to_string(run.result.events),
-         util::Table::num(run.seconds, 3),
-         util::Table::num(run.events_per_sec(), 0),
-         util::Table::num(run.events_per_sec() /
-                              std::max(random_reference.events_per_sec(), 1e-9),
-                          2) +
-             "x"});
-  };
-  random_row("per-receiver reference", random_reference);
-  random_row("batched delivery", random_batched);
+  add_speed_row(random_table, "per-receiver reference", random_reference,
+                random_reference);
+  add_speed_row(random_table, "batched delivery", random_batched,
+                random_reference);
   bench::print(random_table);
+
+  // A max-fault cell: CPS n=64 with f = 31 split-strategy Byzantine nodes.
+  // Their echoes are broadcasts of signatures they received, so once the
+  // Dolev–Yao check passes they ride the segment walk like honest ones;
+  // their own deviant pulses stay per-receiver sends. The pair takes about
+  // 0.5 s in Release on a 4-core x86 host. Reported only, like E14r.
+  runner::SweepGrid faulty_grid = fp_grid;
+  faulty_grid.ns = {64};
+  faulty_grid.fault_loads = {runner::SweepGrid::kMaxResilience};
+  faulty_grid.strategies = {core::ByzStrategy::kSplit};
+  faulty_grid.rounds = 4;
+  faulty_grid.warmup = 1;
+  const auto faulty_spec = faulty_grid.expand().at(0);
+  const auto faulty_reference = timed_scenario(faulty_spec, reference_options);
+  const auto faulty_batched = timed_scenario(faulty_spec, {});
+  summary.faulty_reference_events_per_sec = faulty_reference.events_per_sec();
+  summary.faulty_batched_events_per_sec = faulty_batched.events_per_sec();
+  summary.faulty_speedup = faulty_batched.events_per_sec() /
+                           std::max(faulty_reference.events_per_sec(), 1e-9);
+
+  util::Table faulty_table(
+      "E14f: engine fast path — max-fault cell (CPS n=64, f=" +
+      std::to_string(faulty_spec.f_actual) +
+      ", byz=split, split delays, 4 rounds; identical results, wall clock "
+      "only)");
+  faulty_table.set_header(
+      {"configuration", "events", "seconds", "events/sec", "speedup"});
+  add_speed_row(faulty_table, "per-receiver reference", faulty_reference,
+                faulty_reference);
+  add_speed_row(faulty_table, "batched delivery", faulty_batched,
+                faulty_reference);
+  bench::print(faulty_table);
 
   // E15: the dynamic-network world's price tag. The same flood-probe
   // hypercube cell at rising churn rates — churn 0 is the static engine

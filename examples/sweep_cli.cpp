@@ -29,8 +29,10 @@
 //   --faults=0,max             faulty-node counts ("max" = the protocol's
 //                              optimal resilience at that n, capped by the
 //                              topology's connectivity for relay worlds)
-//   --vartheta=1.01            clock drift bounds
-//   --u=0.05                   delay uncertainties (per-hop u_hop for relay)
+//   --vartheta=1.01            clock drift bounds (each > 1)
+//   --u=0.05                   delay uncertainties (per-hop u_hop for relay;
+//                              each in [0, --d/2), which the echo guard
+//                              d - 2u > 0 needs)
 //   --u-tilde=0.1,0.2          faulty-link uncertainties ũ (default: ũ = u);
 //                              the Theorem-5 construction's ũ
 //   --topology=ring,hypercube  relay topology families (complete|ring|
@@ -72,7 +74,8 @@
 //                              search weakly dominates greedy-skew)
 // Scalars:
 //   --d=1.0 --rounds=20 --warmup=5 --seed=1 --threads=1 --slack=1.0
-//                  (--rounds >= 1, --warmup < --rounds, --threads <= 1024)
+//                  (--d > 0, --slack >= 1, --rounds >= 1, --warmup <
+//                  --rounds, --threads <= 1024; every --u < --d/2)
 //   --gate=RATIO   fail (exit 1) when any scenario errored/timed out or any
 //                  feasible completed scenario has max_skew/bound > RATIO —
 //                  or, for theorem5 scenarios, fails to realize its lower
@@ -86,7 +89,9 @@
 //                  (runner/kllo.hpp) — exceeds RATIO. 1.0 gates on the
 //                  envelope itself: fresh edges get the settling allowance,
 //                  settled edges must sit inside the O(log n) band, which is
-//                  exactly where jump-to-max fails and gradient passes
+//                  exactly where jump-to-max fails and gradient passes.
+//                  Every gate RATIO is >= 0 (0 is legal: any positive
+//                  ratio trips it)
 //   --budget-ms=N  per-scenario wall-clock budget: a cell that exhausts it
 //                  is aborted and exported with timed_out=1 instead of
 //                  hanging the sweep
@@ -133,6 +138,7 @@
 #include "runner/history.hpp"
 #include "runner/runner.hpp"
 #include "runner/scenario.hpp"
+#include "util/fmt.hpp"
 #include "util/table.hpp"
 
 using namespace crusader;
@@ -142,6 +148,12 @@ namespace {
 int fail(const std::string& msg) {
   std::cerr << "sweep_cli: " << msg << "\n";
   return 2;
+}
+
+/// A value that parsed but lies outside the flag's range.
+int out_of_range(const std::string& flag, const std::string& what,
+                 const std::string& value) {
+  return fail("--" + flag + " takes " + what + ", got '" + value + "'");
 }
 
 /// Strict numeric scalar flags: anything std::from_chars does not consume
@@ -259,38 +271,43 @@ int main(int argc, char** argv) {
       if (grid.set_axis(key, value)) continue;
       if (key == "d") {
         grid.d = need_double(key, value);
+        if (grid.d <= 0.0) return out_of_range("d", "a delay > 0", value);
       } else if (key == "rounds") {
         const auto rounds = need_u64(key, value);
-        if (rounds == 0)
-          return fail("--rounds takes a count >= 1, got '" + value + "'");
+        if (rounds == 0) return out_of_range("rounds", "a count >= 1", value);
         grid.rounds = static_cast<std::size_t>(rounds);
       } else if (key == "warmup") {
         grid.warmup = static_cast<std::size_t>(need_u64(key, value));
       } else if (key == "slack") {
         grid.slack = need_double(key, value);
+        if (grid.slack < 1.0)
+          return out_of_range("slack", "a factor >= 1", value);
       } else if (key == "seed") {
         options.base_seed = need_u64(key, value);
       } else if (key == "threads") {
         const auto threads = need_u64(key, value);
         if (threads > 1024)
-          return fail("--threads takes a count <= 1024, got '" + value + "'");
+          return out_of_range("threads", "a count <= 1024", value);
         options.threads = static_cast<unsigned>(threads);
       } else if (key == "gate") {
         gate = need_double(key, value);
+        if (*gate < 0.0) return out_of_range("gate", "a ratio >= 0", value);
       } else if (const auto g = ratio_gate_row(key);
                  g < std::size(runner::kRatioGates)) {
-        summary.ratio_gates[g] = need_double(key, value);
+        const double ratio = need_double(key, value);
+        if (ratio < 0.0)
+          return out_of_range(std::string(runner::kRatioGates[g].flag),
+                              "a ratio >= 0", value);
+        summary.ratio_gates[g] = ratio;
       } else if (key == "gate-trend" || key == "gate_trend") {
         const double pct = need_double(key, value);
         if (pct < 0.0)
-          return fail("--gate-trend takes a percentage >= 0, got '" + value +
-                      "'");
+          return out_of_range("gate-trend", "a percentage >= 0", value);
         gate_trend = pct;
       } else if (key == "budget-ms" || key == "budget_ms") {
         const double budget = need_double(key, value);
         if (budget < 0.0)
-          return fail("--budget-ms takes milliseconds >= 0, got '" + value +
-                      "'");
+          return out_of_range("budget-ms", "milliseconds >= 0", value);
         options.budget_ms = budget;
       } else if (key == "resume") {
         resume_path = value;
@@ -324,9 +341,18 @@ int main(int argc, char** argv) {
   // Steady-state statistics read rounds [warmup, rounds); an empty window
   // would leave steady_skew and the percentiles blank on every row.
   if (grid.warmup >= grid.rounds)
-    return fail("--warmup takes a count < --rounds (" +
-                std::to_string(grid.rounds) + "), got '" +
-                std::to_string(grid.warmup) + "'");
+    return out_of_range("warmup",
+                        "a count < --rounds (" + std::to_string(grid.rounds) +
+                            ")",
+                        std::to_string(grid.warmup));
+  // Every world's model needs the echo guard d - 2u > 0 (--d may follow
+  // --u, so this waits for the last flag); the --u reader refused u < 0.
+  for (const double u : grid.us)
+    if (2.0 * u >= grid.d)
+      return out_of_range("u",
+                          "uncertainties < --d/2 (" +
+                              util::fmt_double(grid.d / 2.0) + ")",
+                          util::fmt_double(u));
 
   // The flat-world default n axis {4,7,9} makes poor sparse topologies (a
   // hypercube needs a power of two). When every requested world is

@@ -2,7 +2,8 @@
 # CI smoke for sweep_cli's flag validation (registered as the ctest
 # `smoke_sweep_cli_rejects`, label `integration`): one malformed value for
 # every list flag, the empty lists that must fail loudly, the strict
-# numeric scalars, and a warmup that leaves no steady-state round. Each must
+# numeric scalars, values outside the model (d, slack, vartheta, u and the
+# gate thresholds), and a warmup that leaves no steady-state round. Each must
 # exit 2 before any cell runs, with exactly the stderr line below.
 # expect_reject takes the flags, then that line.
 #
@@ -56,6 +57,19 @@ expect_reject --join-batch=-1 "sweep_cli: bad numeric value for --join-batch: '-
 expect_reject --kllo-stab=0 "sweep_cli: --kllo-stab takes multipliers > 0, got '0'"
 expect_reject --search-budget=0 "sweep_cli: --search-budget takes counts >= 1, got '0'"
 expect_reject --join-batch=4294967296 "sweep_cli: --join-batch takes counts >= 0, got '4294967296'"
+# The model needs vartheta > 1 and 0 <= u < d/2 (the echo guard d - 2u > 0):
+# a value outside would error every row that reads it instead of failing
+# the invocation.
+expect_reject --vartheta=1 "sweep_cli: --vartheta takes drift bounds > 1, got '1'"
+expect_reject --vartheta=0.5 "sweep_cli: --vartheta takes drift bounds > 1, got '0.5'"
+expect_reject --u=-1 "sweep_cli: --u takes uncertainties >= 0, got '-1'"
+# u < d/2 is checked after every flag is read, so --d may come after --u.
+# (--warmup=0 keeps the appended --rounds=1 from failing the warmup check
+# first.)
+expect_reject --warmup=0 --u=2 "sweep_cli: --u takes uncertainties < --d/2 (0.5), got '2'"
+expect_reject --warmup=0 --u=0.5 "sweep_cli: --u takes uncertainties < --d/2 (0.5), got '0.5'"
+expect_reject --warmup=0 --u=0.01,0.3 --d=0.5 \
+  "sweep_cli: --u takes uncertainties < --d/2 (0.25), got '0.3'"
 
 echo "== underscore aliases: parse errors echo the alias, range errors the dash flag =="
 expect_reject --churn_rate=x "sweep_cli: bad numeric value for --churn_rate: 'x'"
@@ -86,6 +100,15 @@ expect_reject --world=complete,theorem5 --clocks= \
 
 echo "== scalars parse strictly =="
 expect_reject --gate=1.0x "sweep_cli: bad numeric value for --gate: '1.0x'"
+# Scalars outside the model fail the invocation instead of erroring every
+# row; a gate threshold of 0 stays legal.
+expect_reject --d=0 "sweep_cli: --d takes a delay > 0, got '0'"
+expect_reject --d=-1 "sweep_cli: --d takes a delay > 0, got '-1'"
+expect_reject --slack=0.5 "sweep_cli: --slack takes a factor >= 1, got '0.5'"
+expect_reject --gate=-1 "sweep_cli: --gate takes a ratio >= 0, got '-1'"
+expect_reject --gate-local=-1 "sweep_cli: --gate-local takes a ratio >= 0, got '-1'"
+expect_reject --gate_local=-1 "sweep_cli: --gate-local takes a ratio >= 0, got '-1'"
+expect_reject --gate-kllo=-0.5 "sweep_cli: --gate-kllo takes a ratio >= 0, got '-0.5'"
 # max_rounds = 0 means "no cap" inside the protocols, so a zero round count
 # would run the horizon's rounds and report them under rounds=0.
 expect_reject --rounds=0 "sweep_cli: --rounds takes a count >= 1, got '0'"

@@ -478,6 +478,8 @@ bool count_from(std::uint64_t v) {
 }
 bool rate(double r) { return r >= 0.0 && r <= 1.0; }
 bool positive(double m) { return m > 0.0; }
+bool above_one(double v) { return v > 1.0; }
+bool non_negative(double v) { return v >= 0.0; }
 
 /// "max" is kMaxResilience; counts past UINT32_MAX saturate just above it
 /// so the range check, not the sign of an int64 cast, rejects them.
@@ -559,10 +561,10 @@ constexpr AxisRow kAxisRows[] = {
      names<&Grid::topologies, parse_topology>},
     {"faults", "counts >= 0 or 'max'", fault_row,
      numbers<&Grid::fault_loads, parse_fault_load, fault_load>},
-    {"vartheta", "", axis<&Grid::varthetas, &Spec::vartheta>,
-     numbers<&Grid::varthetas, parse_double_strict>},
-    {"u", "", axis<&Grid::us, &Spec::u>,
-     numbers<&Grid::us, parse_double_strict>},
+    {"vartheta", "drift bounds > 1", axis<&Grid::varthetas, &Spec::vartheta>,
+     numbers<&Grid::varthetas, parse_double_strict, above_one>},
+    {"u", "uncertainties >= 0", axis<&Grid::us, &Spec::u>,
+     numbers<&Grid::us, parse_double_strict, non_negative>},
     {"u-tilde", "", u_tilde_row,
      numbers<&Grid::u_tildes, parse_double_strict>},
     {"delays", "delay policy", delay_row, read_delays, "delay"},

@@ -61,18 +61,30 @@ void Network::flag(const std::string& what) {
   CS_WARN << "model violation recorded: " << what;
 }
 
+bool Network::unknown_to_adversary(const crypto::Signature& sig) const {
+  // Own/colluding keys are always known.
+  return sig.signer != kInvalidNode && !faulty_.at(sig.signer) &&
+         !knowledge_.knows(sig);
+}
+
+bool Network::adversary_knows(NodeId from, const Message& m) const {
+  if (!faulty_.at(from) || !m.carries_signature()) return true;
+  return !unknown_to_adversary(m.sig) &&
+         std::none_of(m.sigs.begin(), m.sigs.end(),
+                      [this](const crypto::Signature& s) {
+                        return unknown_to_adversary(s);
+                      });
+}
+
 void Network::check_adversary_knowledge(NodeId from, const Message& m) {
-  if (!faulty_.at(from) || !m.carries_signature()) return;
+  if (adversary_knows(from, m)) return;
   auto check_one = [&](const crypto::Signature& sig) {
-    if (sig.signer == kInvalidNode) return;
-    if (faulty_.at(sig.signer)) return;  // own/colluding keys are always known
-    if (!knowledge_.knows(sig)) {
-      std::ostringstream oss;
-      oss << "faulty node " << from << " sent signature of honest node "
-          << sig.signer << " (payload " << sig.payload_hash
-          << ") before receiving it";
-      flag(oss.str());
-    }
+    if (!unknown_to_adversary(sig)) return;
+    std::ostringstream oss;
+    oss << "faulty node " << from << " sent signature of honest node "
+        << sig.signer << " (payload " << sig.payload_hash
+        << ") before receiving it";
+    flag(oss.str());
   };
   check_one(m.sig);
   for (const auto& s : m.sigs) check_one(s);
@@ -129,10 +141,13 @@ void Network::send(NodeId from, NodeId to, Message m) {
 
 void Network::broadcast(NodeId from, const Message& m) {
   CS_CHECK_MSG(from < model_.n, "sender " << from << " out of range");
-  if (!batch_ || faulty_[from]) {
-    // Reference path: per-receiver sends. Faulty senders stay here even
-    // with batching on, because check_adversary_knowledge records one
-    // violation per receiver.
+  if (!batch_ || !adversary_knows(from, m)) {
+    // Reference path: per-receiver sends. A broadcast the Dolev–Yao check
+    // flags stays here even with batching on, because
+    // check_adversary_knowledge records (or throws) once per receiver.
+    // Deliveries happen only after this call returns, so the check reads
+    // the same knowledge for every receiver: one passing check clears them
+    // all.
     for (NodeId to = 0; to < model_.n; ++to)
       if (to != from) send(from, to, m);
     return;

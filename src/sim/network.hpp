@@ -170,14 +170,15 @@ class Network {
   void send(NodeId from, NodeId to, Message m);
 
   /// Send `m` to every node except `from`. With batching enabled (the
-  /// default) an honest sender's broadcast shares one arena payload and
-  /// holds one queue entry however many delivery segments it has: a
-  /// segment is a maximal run of consecutive receivers with equal delay,
-  /// and the entry walks the segments in (time, position) order, re-arming
-  /// itself at each next segment's time. It remains delivery-order- and
-  /// stats-identical to the per-receiver loop. Faulty senders always take
-  /// the per-receiver path (their Dolev–Yao knowledge check records per
-  /// receiver).
+  /// default) the broadcast shares one arena payload and holds one queue
+  /// entry however many delivery segments it has: a segment is a maximal
+  /// run of consecutive receivers with equal delay, and the entry walks the
+  /// segments in (time, position) order, re-arming itself at each next
+  /// segment's time. It remains delivery-order- and stats-identical to the
+  /// per-receiver loop. The Dolev–Yao check runs once per broadcast (it
+  /// reads no per-receiver state); a faulty sender's broadcast that it
+  /// would flag takes the per-receiver path, which records or throws one
+  /// violation per receiver exactly as before.
   void broadcast(NodeId from, const Message& m);
 
   /// Byzantine send with an explicit delay; must lie within the faulty-link
@@ -226,6 +227,13 @@ class Network {
   /// Deliver the walk's next segment, then re-arm at the one after it or
   /// return the walk to the pool.
   void deliver_segment(Walk& walk);
+  /// True when `sig` is an honest node's signature that no faulty node has
+  /// received: the Dolev–Yao rule forbids a faulty sender to carry it.
+  [[nodiscard]] bool unknown_to_adversary(const crypto::Signature& sig) const;
+  /// True when `from` may send `m`: it is honest, or no signature in `m` is
+  /// unknown_to_adversary.
+  [[nodiscard]] bool adversary_knows(NodeId from, const Message& m) const;
+  /// Flag each signature in `m` that adversary_knows would refuse.
   void check_adversary_knowledge(NodeId from, const Message& m);
   void enqueue(NodeId from, NodeId to, Message m, double delay);
   /// Stats/knowledge/delivery for one receiver — shared by the per-message

@@ -24,6 +24,7 @@
 #include "runner/scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/world.hpp"
+#include "util/check.hpp"
 
 namespace crusader {
 namespace {
@@ -177,14 +178,17 @@ void expect_runs_identical(const sim::RunResult& a, const sim::RunResult& b) {
   EXPECT_EQ(a.sign_ops, b.sign_ops);
   EXPECT_EQ(a.verify_ops, b.verify_ops);
   EXPECT_EQ(a.signatures_carried, b.signatures_carried);
-  EXPECT_EQ(a.violations.size(), b.violations.size());
+  EXPECT_EQ(a.violations, b.violations);
 }
 
-/// One complete-world run with everything pinned except the knob under test
-/// (random delays, WorldConfig's default).
-sim::RunResult run_complete(baselines::ProtocolKind protocol,
-                            crypto::Pki::Kind pki, bool batch,
-                            std::uint32_t f, std::uint32_t n = 5) {
+/// One complete-world run with everything pinned except the knobs under
+/// test (by default the split strategy and random delays, WorldConfig's
+/// default).
+sim::RunResult run_complete(
+    baselines::ProtocolKind protocol, crypto::Pki::Kind pki, bool batch,
+    std::uint32_t f, std::uint32_t n = 5,
+    core::ByzStrategy strategy = core::ByzStrategy::kSplit,
+    sim::DelayKind delay = sim::DelayKind::kRandom) {
   sim::ModelParams model;
   model.n = n;
   model.f = f;
@@ -202,13 +206,13 @@ sim::RunResult run_complete(baselines::ProtocolKind protocol,
   config.initial_offset = setup.initial_offset;
   config.horizon = setup.initial_offset + 8.0 * setup.round_length;
   config.pki_kind = pki;
+  config.delay_kind = delay;
   config.batch = batch;
   config.faulty = sim::default_faulty_set(f);
 
   sim::ByzantineFactory byz;
   if (f > 0)
-    byz = core::make_byzantine_factory(core::ByzStrategy::kSplit, honest, 42,
-                                       0.0, 0.0);
+    byz = core::make_byzantine_factory(strategy, honest, 42, 0.0, 0.0);
   sim::World world(config, std::move(honest), std::move(byz));
   return world.run();
 }
@@ -241,6 +245,38 @@ TEST(FastPathDifferential, CompleteWorldIdenticalAcrossBatchToggleAtN31) {
                                    /*batch=*/false, /*f=*/10, /*n=*/31);
     expect_runs_identical(fast, slow);
     EXPECT_GT(fast.messages, 0u);
+  }
+}
+
+TEST(FastPathDifferential, ByzantineWorldsIdenticalAcrossBatchToggle) {
+  // A faulty sender's broadcast rides the segment walk whenever the
+  // Dolev–Yao check passes. Every strategy at max faults — the paper's
+  // n/3 <= f < n/2 regime for CPS and ST — must still reproduce the
+  // per-receiver reference path: one segment per broadcast (max), two
+  // (split) or one per receiver (random). Enforcement stays kThrow, so a
+  // model violation on either path fails the run.
+  for (const auto protocol :
+       {baselines::ProtocolKind::kCps, baselines::ProtocolKind::kLynchWelch,
+        baselines::ProtocolKind::kSrikanthToueg}) {
+    for (const std::uint32_t n : {7u, 16u}) {
+      const std::uint32_t f = runner::max_resilience(protocol, n);
+      for (const auto delay : {sim::DelayKind::kRandom, sim::DelayKind::kSplit,
+                               sim::DelayKind::kMax}) {
+        for (const auto& row : core::kByzStrategySpellings) {
+          SCOPED_TRACE(std::string(baselines::to_string(protocol)) +
+                       " n=" + std::to_string(n) + " f=" + std::to_string(f) +
+                       " " + sim::to_string(delay) + " " + row.text);
+          const auto fast = run_complete(protocol, crypto::Pki::Kind::kSymbolic,
+                                         /*batch=*/true, f, n, row.value,
+                                         delay);
+          const auto slow = run_complete(protocol, crypto::Pki::Kind::kSymbolic,
+                                         /*batch=*/false, f, n, row.value,
+                                         delay);
+          expect_runs_identical(fast, slow);
+          EXPECT_GT(fast.messages, 0u);
+        }
+      }
+    }
   }
 }
 
@@ -350,7 +386,8 @@ struct NetFixture {
 
   NetFixture(std::uint32_t n, std::unique_ptr<sim::DelayPolicy> policy,
              bool batch, std::vector<bool> faulty = {},
-             double u_tilde = 0.3) {
+             double u_tilde = 0.3,
+             sim::Enforcement enforcement = sim::Enforcement::kThrow) {
     sim::ModelParams m;
     m.n = n;
     if (faulty.empty()) faulty.assign(n, false);
@@ -362,7 +399,7 @@ struct NetFixture {
     m.vartheta = 1.01;
     net = std::make_unique<sim::Network>(engine, m, std::move(faulty),
                                          std::move(policy), util::Rng(7),
-                                         sim::Enforcement::kThrow);
+                                         enforcement);
     net->set_batch(batch);
     net->set_deliver([this](NodeId to, const sim::Message& msg) {
       order.push_back(Delivery{to, msg.sender, engine.now()});
@@ -501,25 +538,118 @@ TEST(FastPathDifferential, BatchedBroadcastClampsDueTimesLikeEngineAt) {
   EXPECT_TRUE(fast.net->violations().empty());
 }
 
+/// A signed message whose one signature is `signer`'s over `payload_hash`.
+sim::Message signed_message(NodeId signer, std::uint64_t payload_hash) {
+  sim::Message m;
+  m.kind = sim::MsgKind::kTcbSig;
+  m.dealer = signer;
+  m.sig.signer = signer;
+  m.sig.payload_hash = payload_hash;
+  return m;
+}
+
 TEST(FastPathDifferential, BatchedBroadcastHoldsOneQueueEntry) {
-  // k honest broadcasts in flight hold exactly k queue entries however many
+  // k broadcasts in flight hold exactly k queue entries however many
   // delivery segments they have; the reference path holds one per receiver.
+  // That holds for faulty senders too once the Dolev–Yao check passes: here
+  // each carries its own signature, which the adversary always knows.
   constexpr std::uint32_t kN = 31;
-  for (const auto kind : {sim::DelayKind::kMax, sim::DelayKind::kMin,
-                          sim::DelayKind::kRandom, sim::DelayKind::kSplit}) {
-    for (const std::size_t k : {1u, 3u}) {
-      NetFixture fast(kN, sim::make_delay_policy(kind, kN), /*batch=*/true);
-      NetFixture slow(kN, sim::make_delay_policy(kind, kN), /*batch=*/false);
-      for (auto* fx : {&fast, &slow}) {
-        for (NodeId s = 0; s < k; ++s) fx->net->broadcast(s, sim::Message{});
-        fx->engine.run_until(2.0);
+  for (const bool faulty_senders : {false, true}) {
+    for (const auto kind : {sim::DelayKind::kMax, sim::DelayKind::kMin,
+                            sim::DelayKind::kRandom, sim::DelayKind::kSplit}) {
+      for (const std::size_t k : {1u, 3u}) {
+        const std::string label = std::string(sim::to_string(kind)) +
+                                  (faulty_senders ? " faulty" : " honest") +
+                                  " k=" + std::to_string(k);
+        std::vector<bool> faulty(kN, false);
+        if (faulty_senders) std::fill_n(faulty.begin(), k, true);
+        NetFixture fast(kN, sim::make_delay_policy(kind, kN), /*batch=*/true,
+                        faulty);
+        NetFixture slow(kN, sim::make_delay_policy(kind, kN), /*batch=*/false,
+                        faulty);
+        for (auto* fx : {&fast, &slow}) {
+          for (NodeId s = 0; s < k; ++s)
+            fx->net->broadcast(s, faulty_senders ? signed_message(s, 1 + s)
+                                                 : sim::Message{});
+          fx->engine.run_until(2.0);
+        }
+        EXPECT_EQ(fast.engine.queue_high_water(), k) << label;
+        EXPECT_EQ(slow.engine.queue_high_water(), k * (kN - 1)) << label;
+        EXPECT_EQ(fast.order, slow.order) << label;
+        EXPECT_EQ(fast.net->stats().signatures_carried,
+                  slow.net->stats().signatures_carried)
+            << label;
+        EXPECT_TRUE(fast.net->violations().empty()) << label;
       }
-      EXPECT_EQ(fast.engine.queue_high_water(), k) << sim::to_string(kind);
-      EXPECT_EQ(slow.engine.queue_high_water(), k * (kN - 1))
-          << sim::to_string(kind);
-      EXPECT_EQ(fast.order, slow.order) << sim::to_string(kind);
     }
   }
+}
+
+TEST(FastPathDifferential, FaultyBroadcastOfUnreceivedSignatureIsFlaggedAlike) {
+  // Faulty node 3 broadcasts honest node 0's signature before any faulty
+  // node received it. The batched path must not skip the Dolev–Yao check:
+  // under kRecord both paths record the same n - 1 violations in the same
+  // order and still deliver alike; under kThrow both throw the same text.
+  constexpr std::uint32_t kN = 6;
+  constexpr NodeId kFaulty = 3;
+  const std::vector<bool> faulty = {false, false, false, true, false, false};
+  const std::string want =
+      "faulty node 3 sent signature of honest node 0 (payload 99) before "
+      "receiving it";
+  for (const auto kind : {sim::DelayKind::kMax, sim::DelayKind::kRandom,
+                          sim::DelayKind::kSplit}) {
+    const std::string label = sim::to_string(kind);
+    NetFixture fast(kN, sim::make_delay_policy(kind, kN), /*batch=*/true,
+                    faulty, 0.3, sim::Enforcement::kRecord);
+    NetFixture slow(kN, sim::make_delay_policy(kind, kN), /*batch=*/false,
+                    faulty, 0.3, sim::Enforcement::kRecord);
+    for (auto* fx : {&fast, &slow}) {
+      fx->net->broadcast(kFaulty, signed_message(0, 99));
+      fx->engine.run_until(2.0);
+    }
+    EXPECT_EQ(slow.net->violations(),
+              std::vector<std::string>(kN - 1, want))
+        << label;
+    EXPECT_EQ(fast.net->violations(), slow.net->violations()) << label;
+    EXPECT_EQ(fast.order, slow.order) << label;
+    EXPECT_EQ(fast.order.size(), kN - 1) << label;
+    EXPECT_EQ(fast.engine.events_processed(), slow.engine.events_processed())
+        << label;
+
+    for (const bool batch : {true, false}) {
+      NetFixture strict(kN, sim::make_delay_policy(kind, kN), batch, faulty);
+      try {
+        strict.net->broadcast(kFaulty, signed_message(0, 99));
+        ADD_FAILURE() << label << " batch=" << batch << ": no throw";
+      } catch (const util::ModelViolation& e) {
+        EXPECT_EQ(std::string(e.what()), want)
+            << label << " batch=" << batch;
+      }
+    }
+  }
+}
+
+TEST(FastPathDifferential, FaultyRelayOfReceivedSignatureIsBatched) {
+  // Once a faulty node has received honest node 0's signature, any faulty
+  // node may relay it: the check passes and the relay is one queue entry.
+  constexpr std::uint32_t kN = 8;
+  const std::vector<bool> faulty = {false, false, false, false,
+                                    false, false, true, true};
+  NetFixture fast(kN, sim::make_delay_policy(sim::DelayKind::kMax, kN),
+                  /*batch=*/true, faulty);
+  NetFixture slow(kN, sim::make_delay_policy(sim::DelayKind::kMax, kN),
+                  /*batch=*/false, faulty);
+  for (auto* fx : {&fast, &slow}) {
+    fx->net->broadcast(0, signed_message(0, 5));
+    fx->engine.run_until(2.0);  // nodes 6 and 7 learn the signature
+    fx->net->broadcast(7, signed_message(0, 5));
+    fx->engine.run_until(4.0);
+  }
+  EXPECT_EQ(fast.order, slow.order);
+  EXPECT_EQ(fast.order.size(), 2 * (kN - 1));
+  EXPECT_TRUE(fast.net->violations().empty());
+  EXPECT_EQ(fast.engine.queue_high_water(), 1u);
+  EXPECT_EQ(slow.engine.queue_high_water(), kN - 1);
 }
 
 TEST(FastPathDifferential, BatchedBroadcastSharesOneArenaPayload) {

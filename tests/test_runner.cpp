@@ -618,6 +618,13 @@ TEST(Cli, SetAxisReadsEveryAxisFlagAndNoOther) {
             "bad numeric value for --join_batch: 'x'");
   EXPECT_EQ(axis_error(grid, "churn_rate", "2"),
             "--churn-rate takes rates in [0,1], got '2'");
+  EXPECT_EQ(axis_error(grid, "vartheta", "1.01,1"),
+            "--vartheta takes drift bounds > 1, got '1'");
+  EXPECT_EQ(axis_error(grid, "u", "-0.5"),
+            "--u takes uncertainties >= 0, got '-0.5'");
+  EXPECT_EQ(axis_error(grid, "u", "0"), "");  // u = 0 is in the model
+  // ũ keeps its documented clamp into [u, d]: no value is out of range.
+  EXPECT_EQ(axis_error(grid, "u_tilde", "-1,5"), "");
   EXPECT_EQ(axis_error(grid, "world", "mars"), "unknown world 'mars'");
   EXPECT_EQ(axis_error(grid, "clocks", "custom"),
             "unknown clock kind 'custom'");
