@@ -504,6 +504,7 @@ struct PinnedCell {
   std::uint32_t f = 0;
   RelayFaultKind fault = RelayFaultKind::kCrash;
   sim::DelayKind delay = sim::DelayKind::kRandom;
+  sim::ClockKind clocks = sim::ClockKind::kSpread;
   ChurnPolicy churn;
   std::size_t rounds = 6;
 };
@@ -517,6 +518,7 @@ RelayRunResult run_pinned(const PinnedCell& cell, bool batch) {
   config.hop_model = hop_model(n, cell.f);
   config.seed = 17;
   config.delay_kind = cell.delay;
+  config.clock_kind = cell.clocks;
   config.faulty = sim::default_faulty_set(cell.f);
   config.fault_kind = cell.fault;
   config.attack_seed = cell.fault == RelayFaultKind::kSearch ? 7 : 0;
@@ -612,6 +614,36 @@ TEST(RelayDigest, ChurnedCellsWithLeavesAndRejoinsArePinned) {
   cell.churn.pinned.assign(16, false);
   cell.churn.pinned[0] = true;
   expect_pinned(cell, 0x4e0eaa1b2c4170a6, "churned/cps/greedy");
+}
+
+TEST(RelayDigest, NominalAndRandomWalkClockCellsArePinned) {
+  // Every other pinned cell runs the default spread clocks; these pin the
+  // relay world's other two clock kinds, a random walk on a churned cell
+  // included (its walk is drawn up to horizon + d_eff).
+  const sim::ClockKind kinds[] = {sim::ClockKind::kNominal,
+                                  sim::ClockKind::kRandomWalk};
+  const std::uint64_t ring[] = {0xb8cd7cd56c0b98f0, 0x50f3ce0b009724c9};
+  const std::uint64_t cube[] = {0x99c3aa0eb5b18d89, 0x82a8d159e64343dd};
+  const std::uint64_t churned[] = {0x76fb0efbdd8bbb36, 0x22551a5092f72bad};
+  for (std::size_t k = 0; k < std::size(kinds); ++k) {
+    const std::string kind = sim::to_string(kinds[k]);
+    PinnedCell cell;
+    cell.clocks = kinds[k];
+    cell.f = 1;
+    cell.fault = RelayFaultKind::kMaxDelay;
+    expect_pinned(cell, ring[k], "ring/" + kind);
+    cell.topology = Topology::hypercube(3);
+    cell.protocol = baselines::ProtocolKind::kCps;
+    cell.delay = sim::DelayKind::kSplit;
+    expect_pinned(cell, cube[k], "hypercube/cps/" + kind);
+    cell.topology = Topology::hypercube(4);
+    cell.protocol = baselines::ProtocolKind::kFloodProbe;
+    cell.f = 0;
+    cell.churn.churn_rate = 0.1;
+    cell.churn.join_batch = 2;
+    cell.rounds = 8;
+    expect_pinned(cell, churned[k], "churned/probe/" + kind);
+  }
 }
 
 TEST(RelayDigest, GradientNeighborCastCellIsPinned) {

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "helpers.hpp"
@@ -152,6 +155,75 @@ TEST(World, MessagesDelivered) {
   for (auto* node : nodes) {
     ASSERT_NE(node, nullptr);
     EXPECT_GT(node->received(), 10);
+  }
+}
+
+// --- Pinned complete-world digests -----------------------------------------
+
+std::uint64_t double_bits(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+/// Order-sensitive digest of a run: every pulse's real and local time plus
+/// the engine, message and crypto counters.
+std::uint64_t run_digest(const RunResult& run) {
+  std::uint64_t h = 0xc10c7ULL;
+  const auto fold = [&h](std::uint64_t x) { h = util::mix64(h ^ x); };
+  for (NodeId v = 0; v < run.trace.n(); ++v) {
+    fold(run.trace.pulse_count(v));
+    for (const auto& p : run.trace.pulses(v)) {
+      fold(double_bits(p.real_time));
+      fold(double_bits(p.local_time));
+    }
+  }
+  fold(run.events);
+  fold(run.messages);
+  fold(run.sign_ops);
+  fold(run.verify_ops);
+  fold(run.violations.size());
+  return h;
+}
+
+/// CPS at n = 7 with two split-delay Byzantine nodes under `kind` clocks;
+/// kCustom gives each node a two-phase ramp inside the offset bound.
+RunResult run_clock_cell(ClockKind kind, std::uint64_t seed) {
+  const ModelParams model = testing::small_model(7, 2);
+  const auto setup = baselines::make_setup(baselines::ProtocolKind::kCps, model);
+  auto honest = baselines::make_protocol_factory(setup);
+  WorldConfig config = testing::world_config(model, setup, 6, seed);
+  config.clock_kind = kind;
+  config.faulty = default_faulty_set(2);
+  if (kind == ClockKind::kCustom) {
+    for (NodeId v = 0; v < model.n; ++v) {
+      config.custom_clocks.push_back(HardwareClock::two_phase(
+          model.vartheta, 1.5 * v, 1.0, setup.initial_offset * v / 6.0));
+    }
+  }
+  World world(config, honest,
+              core::make_byzantine_factory(core::ByzStrategy::kSplit, honest,
+                                           seed));
+  return world.run();
+}
+
+TEST(WorldDigest, EveryClockKindAtTwoSeedsIsPinned) {
+  const ClockKind kinds[] = {ClockKind::kNominal, ClockKind::kSpread,
+                             ClockKind::kRandomWalk, ClockKind::kCustom};
+  const std::uint64_t seeds[] = {3, 11};
+  const std::uint64_t expected[][2] = {
+      {0xdef619d598f9544b, 0x65c7c07143ee94e1},
+      {0x4a4f7e9debe5c1f3, 0x4bdb5ada0b3406fa},
+      {0x88a728e6fa6ddc3a, 0x63d11a9d4fe9d649},
+      {0x263db890aea39753, 0x9c5594d3a4e300c0}};
+  for (std::size_t k = 0; k < std::size(kinds); ++k) {
+    for (std::size_t s = 0; s < std::size(seeds); ++s) {
+      const RunResult run = run_clock_cell(kinds[k], seeds[s]);
+      EXPECT_GE(run.trace.complete_rounds(), 6u);
+      EXPECT_EQ(run_digest(run), expected[k][s])
+          << to_string(kinds[k]) << " seed=" << seeds[s] << " digest=0x"
+          << std::hex << run_digest(run);
+    }
   }
 }
 
