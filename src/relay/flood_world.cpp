@@ -179,10 +179,9 @@ class RelayWorld::NodeHost final : public sim::Env {
     world_->flood_from(id_, copy);
   }
   sim::TimerId schedule_at_local(double local_time, std::uint64_t tag) override {
-    const auto& clock = world_->clocks_[id_];
-    const double h0 = clock.segments().front().h0;
-    const double t = local_time <= h0 ? 0.0 : clock.real(local_time);
-    return world_->engine_.at(std::max(t, world_->engine_.now()), [this, tag] {
+    sim::Engine& engine = world_->engine_;
+    const double t = world_->clocks_[id_].timer_time(local_time, engine.now());
+    return engine.at(t, [this, tag] {
       if (active_) node_->on_timer(*this, tag);
     });
   }
@@ -214,13 +213,7 @@ RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
   effective_ = eff.model;
   worst_hops_ = eff.worst_hops;
   const std::uint32_t n = config_.topology.n();
-  faulty_.assign(n, false);
-  for (NodeId v : config_.faulty) {
-    CS_CHECK(v < n);
-    faulty_[v] = true;
-  }
-  CS_CHECK_MSG(config_.faulty.size() <= config_.hop_model.f,
-               "more faulty nodes than the fault budget");
+  faulty_ = sim::faulty_mask(config_.faulty, n, config_.hop_model.f);
   if (config_.schedule != nullptr && config_.schedule->dynamic()) {
     dynamic_ = true;
     CS_CHECK_MSG(config_.schedule->initial().n() == n,
@@ -242,9 +235,8 @@ RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
 
   pki_ = std::make_unique<crypto::Pki>(n, config_.pki_kind,
                                        config_.seed ^ 0xf100dULL);
-  hop_policy_ = config_.custom_delay
-                    ? config_.custom_delay()
-                    : sim::make_delay_policy(config_.delay_kind, n);
+  hop_policy_ =
+      sim::make_delay_policy(config_.custom_delay, config_.delay_kind, n);
   // Churned nodes are excluded from the skew metrics alongside faulty ones:
   // a torn-down host restarts its protocol from scratch on rejoin, so its
   // pulse numbering is not comparable with nodes that ran throughout.
@@ -263,30 +255,11 @@ RelayWorld::RelayWorld(RelayConfig config, sim::HonestFactory factory,
   }
   trace_ = std::make_unique<sim::PulseTrace>(n, metric_mask);
 
-  // Clocks: reuse the world conventions.
-  const double s0 = config_.initial_offset;
-  const double vt = config_.hop_model.vartheta;
-  for (NodeId v = 0; v < n; ++v) {
-    switch (config_.clock_kind) {
-      case sim::ClockKind::kNominal:
-        clocks_.push_back(sim::HardwareClock::constant(
-            1.0, n > 1 ? s0 * v / (n - 1) : 0.0));
-        break;
-      case sim::ClockKind::kSpread: {
-        const bool fast = (v % 2) == 1;
-        clocks_.push_back(
-            sim::HardwareClock::constant(fast ? vt : 1.0, fast ? s0 : 0.0));
-        break;
-      }
-      default: {
-        util::Rng node_rng = rng_.fork(0xc10c000ULL + v);
-        const double offset = node_rng.uniform(0.0, s0);
-        clocks_.push_back(sim::HardwareClock::random_walk(
-            node_rng, vt, offset, 5.0, config_.horizon + effective_.d));
-        break;
-      }
-    }
-  }
+  // RelayConfig has no custom clocks, so kCustom fails make_clocks' size
+  // check.
+  clocks_ = sim::make_clocks(config_.clock_kind, n, config_.hop_model.vartheta,
+                             config_.initial_offset,
+                             config_.horizon + effective_.d, rng_);
 
   for (NodeId v = 0; v < n; ++v) {
     if (!adversary_->participates(v)) {
@@ -484,8 +457,7 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
       if (state->armed) engine_.cancel(state->hold);
       state->armed = true;
       state->process_local = process_local;
-      const double t =
-          std::max(clocks_[at].real(process_local), engine_.now());
+      const double t = clocks_[at].timer_time(process_local, engine_.now());
       state->hold = engine_.at(t, [this, at, ref]() {
         if (hosts_[at] == nullptr) return;  // left before the hold expired
         // The slot is still this flood's (the closure holds its Ref); the

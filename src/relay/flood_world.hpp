@@ -94,7 +94,7 @@ struct RelayConfig {
   /// Optional custom per-hop delay policy factory (overrides delay_kind) —
   /// mirrors sim::WorldConfig::custom_delay so every DelayPolicy is
   /// reachable in relay worlds too.
-  std::function<std::unique_ptr<sim::DelayPolicy>()> custom_delay;
+  sim::DelayFactory custom_delay;
   crypto::Pki::Kind pki_kind = crypto::Pki::Kind::kSymbolic;
   /// Flood fast path: honest relays coalesce equal-delay forwards to
   /// consecutive neighbors into one aggregate event sharing an arena

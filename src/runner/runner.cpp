@@ -104,8 +104,8 @@ void run_complete_world(const ScenarioSpec& spec, const RunnerOptions& options,
 
   if (result.rounds_completed > 0) {
     fill_skew_metrics(run.trace, spec, result);
-    result.within_bound =
-        result.max_skew <= result.predicted_skew + options.bound_tolerance;
+    result.within_bound = result.max_skew <= result.predicted_skew +
+                                                 RunnerOptions::bound_tolerance;
   }
 }
 
@@ -296,8 +296,8 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
 
     if (out.rounds_completed > 0) {
       fill_skew_metrics(run.trace, spec, out);
-      out.within_bound =
-          out.max_skew <= out.predicted_skew + options.bound_tolerance;
+      out.within_bound = out.max_skew <= out.predicted_skew +
+                                             RunnerOptions::bound_tolerance;
     }
     return std::move(run.trace);
   };
@@ -597,7 +597,7 @@ bool violates_gate(const ScenarioResult& result, double max_ratio) {
   // its bound exactly (the flood probe's skew is exactly u under split
   // delays) must not trip a --gate=1.0 on the last ulp of the division.
   return std::isfinite(result.skew_ratio) &&
-         result.skew_ratio > max_ratio + 1e-9;
+         result.skew_ratio > max_ratio + RunnerOptions::bound_tolerance;
 }
 
 std::size_t count_gate_violations(const SweepReport& report,
@@ -614,7 +614,7 @@ void SweepSummary::add(const ScenarioResult& result) {
   for (std::size_t g = 0; g < std::size(kRatioGates); ++g) {
     const double value = result.*kRatioGates[g].value;
     if (ratio_gates[g] && std::isfinite(value) &&
-        value > *ratio_gates[g] + 1e-9)
+        value > *ratio_gates[g] + RunnerOptions::bound_tolerance)
       ++ratio_gate_violations[g];
   }
   if (result.timed_out) ++timed_out;

@@ -32,8 +32,9 @@ struct RunnerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned threads = 1;
   /// Absolute tolerance when checking measured skew against the theoretical
-  /// bound (floating-point headroom, not a semantic slack).
-  double bound_tolerance = 1e-9;
+  /// bound, and a ratio against its gate (floating-point headroom, not a
+  /// semantic slack).
+  static constexpr double bound_tolerance = 1e-9;
   /// Per-scenario wall-clock budget in milliseconds; 0 = unlimited. A
   /// scenario that exhausts it is aborted mid-run and reported with
   /// timed_out = true (metrics NaN) instead of hanging the sweep.

@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "util/check.hpp"
 
 namespace crusader::sim {
+
+const char* to_string(ClockKind kind) {
+  return util::spell(kClockKindSpellings, kind);
+}
 
 HardwareClock HardwareClock::constant(double rate, double offset) {
   return HardwareClock({ClockSegment{0.0, offset, rate}});
@@ -90,6 +95,11 @@ double HardwareClock::real(double h) const {
   return s.t0 + (h - s.h0) / s.rate;
 }
 
+double HardwareClock::timer_time(double h, double now) const {
+  const double t = h <= offset() ? 0.0 : real(h);
+  return std::max(t, now);
+}
+
 double HardwareClock::rate_at(double t) const {
   return segments_[segment_for_real(t)].rate;
 }
@@ -111,6 +121,49 @@ void HardwareClock::check_valid(double vartheta) const {
     CS_CHECK_MSG(s.rate >= 1.0 - 1e-12 && s.rate <= vartheta + 1e-12,
                  "clock rate " << s.rate << " outside [1, " << vartheta << "]");
   }
+}
+
+std::vector<HardwareClock> make_clocks(
+    ClockKind kind, std::uint32_t n, double vartheta, double initial_offset,
+    double walk_until, const util::Rng& rng,
+    const std::vector<HardwareClock>& custom) {
+  const double s0 = initial_offset;
+  std::vector<HardwareClock> clocks;
+  clocks.reserve(n);
+  switch (kind) {
+    case ClockKind::kNominal:
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const double offset = n > 1 ? s0 * v / (n - 1) : 0.0;
+        clocks.push_back(HardwareClock::constant(1.0, offset));
+      }
+      break;
+    case ClockKind::kSpread:
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const bool fast = (v % 2) == 1;
+        clocks.push_back(
+            HardwareClock::constant(fast ? vartheta : 1.0, fast ? s0 : 0.0));
+      }
+      break;
+    case ClockKind::kRandomWalk:
+      for (std::uint32_t v = 0; v < n; ++v) {
+        util::Rng node_rng = rng.fork(0xc10c000ULL + v);
+        const double offset = node_rng.uniform(0.0, s0);
+        clocks.push_back(HardwareClock::random_walk(
+            node_rng, vartheta, offset, kRandomWalkSegment, walk_until));
+      }
+      break;
+    case ClockKind::kCustom:
+      CS_CHECK_MSG(custom.size() == n, "custom clocks must cover all nodes");
+      clocks = custom;
+      break;
+  }
+  for (const auto& c : clocks) {
+    c.check_valid(vartheta);
+    CS_CHECK_MSG(c.offset() >= -1e-12 && c.offset() <= s0 + 1e-12,
+                 "clock offset " << c.offset() << " outside [0, S0=" << s0
+                                 << "]");
+  }
+  return clocks;
 }
 
 }  // namespace crusader::sim

@@ -4,14 +4,41 @@
 // Piecewise-linear, strictly increasing (all rates >= 1 > 0), hence exactly
 // invertible. The adversary chooses the trajectory subject to rates in
 // [1, vartheta]; builders below cover the assignments used by tests, benches
-// and the lower-bound construction.
+// and the lower-bound construction, and make_clocks assembles every world's
+// clocks from a ClockKind.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/spelling.hpp"
 
 namespace crusader::sim {
+
+/// Hardware-clock assignment strategies (the adversary's clock choice).
+enum class ClockKind {
+  kNominal,     // all rates 1, offsets spread evenly in [0, S0]
+  kSpread,      // alternating rates 1 / vartheta, extremal offsets — maximum
+                // sustained drift divergence
+  kRandomWalk,  // per-node random rate walk within [1, vartheta]
+  kCustom,      // WorldConfig::custom_clocks (the relay world has none)
+};
+
+/// kCustom keeps its name for printing; the runner's parser refuses it, since
+/// a caller-built clock vector cannot come from a flag.
+inline constexpr util::Spelling<ClockKind> kClockKindSpellings[] = {
+    {ClockKind::kNominal, "nominal"},
+    {ClockKind::kSpread, "spread"},
+    {ClockKind::kRandomWalk, "random-walk"},
+    {ClockKind::kRandomWalk, "walk"},
+    {ClockKind::kCustom, "custom"},
+};
+
+[[nodiscard]] const char* to_string(ClockKind kind);
+
+/// Real-time length of each rate segment of a ClockKind::kRandomWalk clock.
+inline constexpr double kRandomWalkSegment = 5.0;
 
 /// One linear segment: for t >= t0 (until the next segment's t0),
 /// H(t) = h0 + rate * (t - t0).
@@ -51,6 +78,10 @@ class HardwareClock {
   [[nodiscard]] double max_rate() const;
   [[nodiscard]] double offset() const { return segments_.front().h0; }
 
+  /// Real time at which a timer set at real time `now` for local time `h`
+  /// fires: H_v^{-1}(h), or `now` once the clock has passed h.
+  [[nodiscard]] double timer_time(double h, double now) const;
+
   /// Validates the model constraints: rates in [1, vartheta].
   void check_valid(double vartheta) const;
 
@@ -66,5 +97,14 @@ class HardwareClock {
 
   std::vector<ClockSegment> segments_;
 };
+
+/// The n clocks of one world under `kind`; kCustom copies `custom`, which
+/// must hold n clocks. Node v's random walk draws from rng.fork(0xc10c000 +
+/// v) up to real time `walk_until`. Every clock is checked against the
+/// model: rates in [1, vartheta] and H_v(0) in [0, initial_offset].
+[[nodiscard]] std::vector<HardwareClock> make_clocks(
+    ClockKind kind, std::uint32_t n, double vartheta, double initial_offset,
+    double walk_until, const util::Rng& rng,
+    const std::vector<HardwareClock>& custom = {});
 
 }  // namespace crusader::sim

@@ -30,6 +30,11 @@ std::unique_ptr<DelayPolicy> make_delay_policy(DelayKind kind, std::uint32_t n) 
   return nullptr;
 }
 
+std::unique_ptr<DelayPolicy> make_delay_policy(const DelayFactory& custom,
+                                               DelayKind kind, std::uint32_t n) {
+  return custom ? custom() : make_delay_policy(kind, n);
+}
+
 Network::Network(Engine& engine, ModelParams model, std::vector<bool> faulty,
                  std::unique_ptr<DelayPolicy> policy, util::Rng rng,
                  Enforcement enforcement)

@@ -143,6 +143,14 @@ inline constexpr util::Spelling<DelayKind> kDelayKindSpellings[] = {
 [[nodiscard]] std::unique_ptr<DelayPolicy> make_delay_policy(DelayKind kind,
                                                              std::uint32_t n);
 
+/// A caller-built delay policy; when set, a world runs it instead of its
+/// DelayKind.
+using DelayFactory = std::function<std::unique_ptr<DelayPolicy>()>;
+
+/// `custom()` when set, else make_delay_policy(kind, n).
+[[nodiscard]] std::unique_ptr<DelayPolicy> make_delay_policy(
+    const DelayFactory& custom, DelayKind kind, std::uint32_t n);
+
 /// How model violations by adversary code are handled.
 enum class Enforcement {
   kThrow,   // throw ModelViolation (tests assert legality of adversaries)

@@ -16,30 +16,8 @@
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/trace.hpp"
-#include "util/spelling.hpp"
 
 namespace crusader::sim {
-
-/// Hardware-clock assignment strategies (the adversary's clock choice).
-enum class ClockKind {
-  kNominal,     // all rates 1, offsets spread evenly in [0, S0]
-  kSpread,      // alternating rates 1 / vartheta, extremal offsets — maximum
-                // sustained drift divergence
-  kRandomWalk,  // per-node random rate walk within [1, vartheta]
-  kCustom,      // WorldConfig::custom_clocks
-};
-
-/// kCustom keeps its name for printing; the runner's parser refuses it, since
-/// a caller-built clock vector cannot come from a flag.
-inline constexpr util::Spelling<ClockKind> kClockKindSpellings[] = {
-    {ClockKind::kNominal, "nominal"},
-    {ClockKind::kSpread, "spread"},
-    {ClockKind::kRandomWalk, "random-walk"},
-    {ClockKind::kRandomWalk, "walk"},
-    {ClockKind::kCustom, "custom"},
-};
-
-[[nodiscard]] const char* to_string(ClockKind kind);
 
 struct WorldConfig {
   ModelParams model;
@@ -50,12 +28,10 @@ struct WorldConfig {
   crypto::Pki::Kind pki_kind = crypto::Pki::Kind::kSymbolic;
   ClockKind clock_kind = ClockKind::kSpread;
   DelayKind delay_kind = DelayKind::kRandom;
-  /// Segment length for ClockKind::kRandomWalk.
-  double clock_segment = 5.0;
   std::vector<NodeId> faulty;
   std::vector<HardwareClock> custom_clocks;  // used when kCustom
   /// Optional custom delay policy factory (overrides delay_kind).
-  std::function<std::unique_ptr<DelayPolicy>()> custom_delay;
+  DelayFactory custom_delay;
   Enforcement enforcement = Enforcement::kThrow;
   /// Broadcast fast path (aggregate events + shared arena payloads). Off
   /// forces the per-receiver reference path; results are identical either
@@ -102,11 +78,7 @@ class World {
   [[nodiscard]] crypto::Pki& pki() noexcept { return *pki_; }
 
  private:
-  class HonestRunner;
-  class ByzantineRunner;
-
-  void build_clocks();
-  void build_runners(HonestFactory honest, ByzantineFactory byzantine);
+  class Host;
 
   WorldConfig config_;
   std::vector<bool> faulty_;
@@ -115,11 +87,7 @@ class World {
   std::unique_ptr<Network> network_;
   std::vector<HardwareClock> clocks_;
   std::unique_ptr<PulseTrace> trace_;
-  std::vector<std::unique_ptr<HonestRunner>> honest_runners_;
-  std::vector<std::unique_ptr<ByzantineRunner>> byz_runners_;
-  // Dispatch table: per node, pointer to runner deliver function.
-  std::vector<std::function<void(const Message&)>> deliver_table_;
-  std::vector<std::function<void()>> start_table_;
+  std::vector<std::unique_ptr<Host>> hosts_;  ///< indexed by node id
   bool started_ = false;
   util::Rng rng_;
 };
@@ -127,5 +95,11 @@ class World {
 /// Convenience: mark the first `f` node ids faulty (tests often don't care
 /// which ids are faulty; protocols must not either).
 [[nodiscard]] std::vector<NodeId> default_faulty_set(std::uint32_t f);
+
+/// The faulty mask of an n-node world: true at each id in `faulty`. Throws
+/// util::CheckFailure, naming the id, on an id >= n or a repeated id, and on
+/// more than `f` ids.
+[[nodiscard]] std::vector<bool> faulty_mask(const std::vector<NodeId>& faulty,
+                                            std::uint32_t n, std::uint32_t f);
 
 }  // namespace crusader::sim

@@ -42,7 +42,8 @@ inline sim::WorldConfig world_config(const sim::ModelParams& model,
 }
 
 /// Runs a protocol with `f_actual` Byzantine nodes of the given strategy.
-/// Returns the run result; asserts no model violations occurred.
+/// Returns the run result. The world keeps the default Enforcement::kThrow,
+/// so a model violation throws util::ModelViolation out of the run.
 inline sim::RunResult run_protocol(
     baselines::ProtocolKind kind, const sim::ModelParams& model,
     std::uint32_t f_actual, core::ByzStrategy strategy, std::uint64_t seed,

@@ -113,5 +113,34 @@ TEST(HardwareClock, RealBeforeOffsetRejected) {
   EXPECT_THROW((void)clock.real(1.0), util::CheckFailure);
 }
 
+TEST(HardwareClock, TimerTimeFiresNowOncePassed) {
+  const auto clock = HardwareClock::constant(2.0, 1.0);
+  EXPECT_DOUBLE_EQ(clock.timer_time(5.0, 0.5), 2.0);  // H^{-1}(5)
+  EXPECT_DOUBLE_EQ(clock.timer_time(5.0, 3.0), 3.0);  // already passed
+  // At or below H(0), where real() is undefined, the timer fires now.
+  EXPECT_DOUBLE_EQ(clock.timer_time(0.5, 0.25), 0.25);
+  EXPECT_DOUBLE_EQ(clock.timer_time(1.0, 0.0), 0.0);
+}
+
+TEST(MakeClocks, CustomClocksAreCheckedAgainstTheModel) {
+  const util::Rng rng(3);
+  const std::vector<HardwareClock> ok(2, HardwareClock::constant(1.0, 0.1));
+  EXPECT_EQ(make_clocks(ClockKind::kCustom, 2, 1.01, 0.2, 30.0, rng, ok)
+                .size(),
+            2u);
+  // Wrong count (the relay world passes none), a rate above vartheta, and
+  // an offset beyond the initial-offset bound each throw.
+  EXPECT_THROW((void)make_clocks(ClockKind::kCustom, 2, 1.01, 0.2, 30.0, rng),
+               util::CheckFailure);
+  const std::vector<HardwareClock> fast(2, HardwareClock::constant(1.5, 0.1));
+  EXPECT_THROW(
+      (void)make_clocks(ClockKind::kCustom, 2, 1.01, 0.2, 30.0, rng, fast),
+      util::CheckFailure);
+  const std::vector<HardwareClock> late(2, HardwareClock::constant(1.0, 0.3));
+  EXPECT_THROW(
+      (void)make_clocks(ClockKind::kCustom, 2, 1.01, 0.2, 30.0, rng, late),
+      util::CheckFailure);
+}
+
 }  // namespace
 }  // namespace crusader::sim

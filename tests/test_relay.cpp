@@ -383,6 +383,38 @@ RelayRunResult run_cps_on(const Topology& topo, std::uint32_t f,
   return world.run();
 }
 
+/// CPS nodes configured for `config`'s effective model.
+sim::HonestFactory cps_factory(const RelayConfig& config) {
+  core::CpsConfig cps;
+  cps.params = core::derive_cps_params(effective_model(config));
+  return [cps](NodeId) { return std::make_unique<core::CpsNode>(cps); };
+}
+
+TEST(RelayWorld, CustomClockKindRejected) {
+  // RelayConfig carries no clock vector, so kCustom has nothing to run.
+  RelayConfig config;
+  config.topology = Topology::complete(5);
+  config.hop_model = hop_model(5, 2);
+  config.clock_kind = sim::ClockKind::kCustom;
+  EXPECT_THROW(RelayWorld world(config, cps_factory(config)),
+               util::CheckFailure);
+}
+
+TEST(RelayWorld, DuplicateFaultyIdRejected) {
+  RelayConfig config;
+  config.topology = Topology::complete(5);
+  config.hop_model = hop_model(5, 2);
+  config.faulty = {1, 1};
+  try {
+    RelayWorld world(config, cps_factory(config));
+    FAIL() << "duplicate faulty id accepted";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate faulty id 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RelayWorld, CpsOnCompleteTopologyMatchesFlatGuarantees) {
   core::CpsParams params;
   const auto result =

@@ -131,6 +131,21 @@ TEST(World, TooManyFaultyRejected) {
   EXPECT_THROW(World(config, beacon_factory(), byz), util::CheckFailure);
 }
 
+TEST(World, DuplicateFaultyIdRejected) {
+  WorldConfig config = base_config();
+  config.model = testing::small_model(7, 2);
+  config.faulty = {1, 1};
+  auto byz = [](NodeId) { return std::make_unique<core::CrashByzantine>(); };
+  try {
+    World world(config, beacon_factory(), byz);
+    FAIL() << "duplicate faulty id accepted";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate faulty id 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(World, CrashFaultyNodesDontBlockHonest) {
   WorldConfig config = base_config();
   config.faulty = {3};
@@ -190,7 +205,8 @@ std::uint64_t run_digest(const RunResult& run) {
 /// kCustom gives each node a two-phase ramp inside the offset bound.
 RunResult run_clock_cell(ClockKind kind, std::uint64_t seed) {
   const ModelParams model = testing::small_model(7, 2);
-  const auto setup = baselines::make_setup(baselines::ProtocolKind::kCps, model);
+  const auto setup =
+      baselines::make_setup(baselines::ProtocolKind::kCps, model);
   auto honest = baselines::make_protocol_factory(setup);
   WorldConfig config = testing::world_config(model, setup, 6, seed);
   config.clock_kind = kind;
