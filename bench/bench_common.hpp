@@ -1,18 +1,19 @@
 #pragma once
-// Shared plumbing for the experiment benches (E1–E10; each bench_*.cpp
+// Shared plumbing for the experiment benches (E1–E12; each bench_*.cpp
 // header names the claim its table checks). Every bench prints one or more
-// paper-style tables to stdout via util::Table.
+// paper-style tables to stdout via util::Table. Protocol cells are runner
+// specs run through runner::run_complete_world, the builder behind
+// run_scenario; only benches of hand-configured nodes build their own world.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "baselines/factories.hpp"
 #include "core/adversaries.hpp"
-#include "core/cps.hpp"
+#include "runner/runner.hpp"
 #include "sim/world.hpp"
 #include "util/table.hpp"
 
@@ -32,6 +33,8 @@ inline sim::ModelParams bench_model(std::uint32_t n, std::uint32_t f,
   return m;
 }
 
+/// World config for the benches that run hand-configured nodes (E2's TCB
+/// probes, E7's Lynch-Welch at f_plain, E12's ablated CPS variants).
 inline sim::WorldConfig world_config(const sim::ModelParams& model,
                                      const baselines::ProtocolSetup& setup,
                                      std::size_t rounds, std::uint64_t seed) {
@@ -39,11 +42,19 @@ inline sim::WorldConfig world_config(const sim::ModelParams& model,
   config.model = model;
   config.seed = seed;
   config.initial_offset = setup.initial_offset;
-  config.horizon = setup.initial_offset +
-                   static_cast<double>(rounds + 2) * setup.round_length;
+  config.horizon = setup.horizon(rounds);
   config.clock_kind = sim::ClockKind::kSpread;
   config.delay_kind = sim::DelayKind::kRandom;
   return config;
+}
+
+/// Runs `spec` through the runner's complete-world builder at the raw `seed`
+/// and with no pulse cap, so a table sees every round the horizon holds.
+inline sim::RunResult run_spec(const runner::ScenarioSpec& spec,
+                               std::uint64_t seed) {
+  return runner::run_complete_world(
+      spec, baselines::make_setup(spec.protocol, spec.model(), spec.slack),
+      seed);
 }
 
 /// Runs `kind` with `f_actual` Byzantine nodes of `strategy`.
@@ -53,21 +64,17 @@ inline sim::RunResult run_protocol(
     std::size_t rounds, sim::ClockKind clocks = sim::ClockKind::kSpread,
     sim::DelayKind delays = sim::DelayKind::kRandom, double late_shift = 0.0,
     double split_shift = 0.0) {
-  const auto setup = baselines::make_setup(kind, model);
-  auto honest = baselines::make_protocol_factory(setup);
-
-  sim::WorldConfig config = world_config(model, setup, rounds, seed);
-  config.clock_kind = clocks;
-  config.delay_kind = delays;
-  config.faulty = sim::default_faulty_set(f_actual);
-
-  sim::ByzantineFactory byz;
-  if (f_actual > 0) {
-    byz = core::make_byzantine_factory(strategy, honest, seed, late_shift,
-                                       split_shift);
-  }
-  sim::World world(config, honest, byz);
-  return world.run();
+  runner::ScenarioSpec spec;
+  spec.set_model(model);
+  spec.protocol = kind;
+  spec.f_actual = f_actual;
+  spec.strategy = strategy;
+  spec.rounds = rounds;
+  spec.clocks = clocks;
+  spec.delay = delays;
+  spec.late_shift = late_shift;
+  spec.split_shift = split_shift;
+  return run_spec(spec, seed);
 }
 
 /// Worst steady-state skew across seeds (skipping `warmup` rounds).

@@ -20,15 +20,13 @@ namespace {
 /// ST under its worst-case certificate-acceleration attack.
 double st_attacked_skew(const sim::ModelParams& model, std::size_t rounds,
                         std::uint64_t seed) {
-  const auto setup =
-      baselines::make_setup(baselines::ProtocolKind::kSrikanthToueg, model);
-  auto honest = baselines::make_protocol_factory(setup);
-  auto byz = core::make_st_accelerator_factory(model.n - 1);
-  auto config = bench::world_config(model, setup, rounds, seed);
-  config.faulty = sim::default_faulty_set(model.f);
-  sim::World world(config, honest, byz);
-  const auto result = world.run();
-  return result.trace.max_skew(rounds / 4);
+  runner::ScenarioSpec spec;
+  spec.set_model(model);
+  spec.protocol = baselines::ProtocolKind::kSrikanthToueg;
+  spec.f_actual = model.f;
+  spec.rounds = rounds;
+  spec.st_accelerator = true;
+  return bench::run_spec(spec, seed).trace.max_skew(rounds / 4);
 }
 
 }  // namespace

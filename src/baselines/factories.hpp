@@ -3,6 +3,7 @@
 // pulse-synchronization protocols from model parameters. Used by tests,
 // benches, and the lower-bound runner.
 
+#include <cstddef>
 #include <string>
 
 #include "core/params.hpp"
@@ -69,6 +70,12 @@ struct ProtocolSetup {
   /// Real-time length of one pulse round (for horizon sizing).
   double round_length = 0.0;
   bool feasible = false;
+
+  /// Real time a world runs so that `rounds` pulse rounds fit: the initial
+  /// offset plus rounds + 2 round lengths of slack.
+  [[nodiscard]] double horizon(std::size_t rounds) const noexcept {
+    return initial_offset + static_cast<double>(rounds + 2) * round_length;
+  }
 };
 
 [[nodiscard]] ProtocolSetup make_setup(ProtocolKind kind,

@@ -1,9 +1,9 @@
 #include "core/adversaries.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,17 +12,6 @@
 #include "util/rng.hpp"
 
 namespace crusader::core {
-
-namespace {
-
-std::uint64_t double_bits(double x) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(x));
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 // --- EchoRushByzantine --------------------------------------------------------
 
@@ -243,25 +232,23 @@ ObservationLog::ObservationLog(std::uint32_t n)
 
 void ObservationLog::record(NodeId dealer, Round round, double now) {
   if (dealer >= late_sum_.size()) return;  // kInvalidNode / foreign traffic
-  ++count_;
-  digest_ = util::mix64(digest_ ^ (static_cast<std::uint64_t>(dealer) << 40) ^
-                        static_cast<std::uint64_t>(round));
-  digest_ = util::mix64(digest_ ^ double_bits(now));
   // Lateness is measured against the FIRST copy of the round the observer
   // saw, so the estimator needs no clock model — only arrival order.
   const auto it = round_first_.try_emplace(round, now).first;
-  const double lateness = now - it->second;
-  late_sum_[dealer] += lateness;
-  ++late_count_[dealer];
-  late_total_ += lateness;
-  ++late_total_count_;
+  observe(dealer, static_cast<std::uint64_t>(round), now, it->second);
 }
 
-bool ObservationLog::lagging(NodeId v) const {
-  if (v >= late_count_.size() || late_count_[v] == 0) return true;
-  if (late_total_count_ == 0) return true;
-  const double mean = late_total_ / static_cast<double>(late_total_count_);
-  return late_sum_[v] / static_cast<double>(late_count_[v]) >= mean;
+void ObservationLog::observe(NodeId v, std::uint64_t tag, double now,
+                             double first) {
+  CS_CHECK(v < late_sum_.size());
+  ++count_;
+  digest_ = util::mix64(digest_ ^ (static_cast<std::uint64_t>(v) << 40) ^ tag);
+  digest_ = util::mix64(digest_ ^ std::bit_cast<std::uint64_t>(now));
+  const double lateness = now - first;
+  late_sum_[v] += lateness;
+  ++late_count_[v];
+  late_total_ += lateness;
+  ++late_total_count_;
 }
 
 void GreedySkewByzantine::on_start(sim::AdversaryEnv& env) {

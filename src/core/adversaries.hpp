@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -113,24 +114,40 @@ class RandomByzantine final : public sim::ByzantineNode {
   std::unordered_set<std::uint64_t> signed_rounds_;
 };
 
-/// Deterministic record of the traffic a Byzantine node overhears: per-dealer
-/// arrival lateness relative to the first copy of each round, plus a
+/// Deterministic record of the traffic an adversary overhears: per-node
+/// arrival lateness relative to the first sighting of each broadcast, plus a
 /// count/digest pair so tests can assert bit-exact replay of the observation
-/// stream. This is the complete-world twin of relay::RelayAdversary's
-/// observation interface — same lateness estimator, same digest chaining.
+/// stream. GreedySkewByzantine keys broadcasts by round through record();
+/// relay::RelayAdversary keeps a dense per-flood first-sighting table and
+/// feeds observe().
 class ObservationLog {
  public:
   explicit ObservationLog(std::uint32_t n);
 
   /// Records one overheard broadcast of `dealer` for `round` arriving at real
   /// time `now` (Byzantine nodes may read real time; honest nodes cannot).
+  /// A dealer outside [0, n) (kInvalidNode, foreign traffic) is skipped.
   void record(NodeId dealer, Round round, double now);
+
+  /// Records an arrival at `v` (< n) at real time `now` of a broadcast first
+  /// sighted at `first`; `tag` names the broadcast in the digest beside v.
+  void observe(NodeId v, std::uint64_t tag, double now, double first);
+
+  /// Average lateness of the arrivals recorded at `v`; nullopt when none.
+  [[nodiscard]] std::optional<double> mean_lateness(NodeId v) const {
+    if (v >= late_count_.size() || late_count_[v] == 0) return std::nullopt;
+    return late_sum_[v] / static_cast<double>(late_count_[v]);
+  }
 
   /// True when `v`'s broadcasts arrive late (average lateness at or above the
   /// global mean) — the node the adversary estimates to be behind. Unobserved
   /// nodes count as lagging: with no evidence they lead, pushing them later
   /// is the safe greedy move.
-  [[nodiscard]] bool lagging(NodeId v) const;
+  [[nodiscard]] bool lagging(NodeId v) const {
+    const auto mean = mean_lateness(v);
+    if (!mean || late_total_count_ == 0) return true;
+    return *mean >= late_total_ / static_cast<double>(late_total_count_);
+  }
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -12,17 +11,6 @@
 #include "util/rng.hpp"
 
 namespace crusader::relay {
-
-namespace {
-
-std::uint64_t double_bits(double x) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(x));
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 const char* to_string(RelayFaultKind kind) {
   return util::spell(kRelayFaultSpellings, kind);
@@ -36,10 +24,7 @@ RelayAdversary::RelayAdversary(RelayFaultKind kind, const Topology& topology,
       seed_(seed),
       attack_seed_(attack_seed) {
   CS_CHECK(faulty_.size() == topology.n());
-  if (observing()) {
-    late_sum_.assign(topology.n(), 0.0);
-    late_count_.assign(topology.n(), 0);
-  }
+  if (observing()) log_ = core::ObservationLog(topology.n());
   refresh(topology);
 }
 
@@ -81,29 +66,14 @@ bool RelayAdversary::participates(NodeId v) const {
 
 void RelayAdversary::observe(NodeId at, std::uint64_t flood_id,
                              std::uint32_t hops, double now) {
-  CS_CHECK(at < late_sum_.size());
-  ++obs_count_;
-  obs_digest_ = util::mix64(obs_digest_ ^ (static_cast<std::uint64_t>(at) << 40) ^
-                            (static_cast<std::uint64_t>(hops) << 32) ^ flood_id);
-  obs_digest_ = util::mix64(obs_digest_ ^ double_bits(now));
   // Flood ids are dense (the world numbers them 0, 1, 2, ...), so the
   // first-sighting times live in a flat vector; NaN marks "not yet seen".
   if (flood_id >= flood_first_.size())
     flood_first_.resize(flood_id + 1, std::numeric_limits<double>::quiet_NaN());
   double& first = flood_first_[flood_id];
   if (std::isnan(first)) first = now;
-  const double lateness = now - first;
-  late_sum_[at] += lateness;
-  ++late_count_[at];
-  late_total_ += lateness;
-  ++late_total_count_;
-}
-
-bool RelayAdversary::lagging(NodeId v) const {
-  if (v >= late_count_.size() || late_count_[v] == 0) return true;
-  if (late_total_count_ == 0) return true;
-  const double mean = late_total_ / static_cast<double>(late_total_count_);
-  return late_sum_[v] / static_cast<double>(late_count_[v]) >= mean;
+  log_.observe(at, (static_cast<std::uint64_t>(hops) << 32) ^ flood_id, now,
+               first);
 }
 
 NodeId RelayAdversary::greedy_victim(NodeId at) const {
@@ -112,14 +82,13 @@ NodeId RelayAdversary::greedy_victim(NodeId at) const {
   NodeId victim = kInvalidNode;
   double worst = 0.0;
   for (const NodeId next : nbrs) {
-    if (next >= late_count_.size() || late_count_[next] == 0) continue;
-    const double avg =
-        late_sum_[next] / static_cast<double>(late_count_[next]);
+    const auto avg = log_.mean_lateness(next);
+    if (!avg) continue;
     // Strict > keeps the first (neighbor-order) node on ties — the choice
     // must not depend on container iteration quirks.
-    if (victim == kInvalidNode || avg > worst) {
+    if (victim == kInvalidNode || *avg > worst) {
       victim = next;
-      worst = avg;
+      worst = *avg;
     }
   }
   return victim;
@@ -172,9 +141,9 @@ double RelayAdversary::hop_delay(NodeId at, NodeId next,
     case RelayFaultKind::kGreedySkew:
       // Widen the frontier gap: full d_hop toward the lagging side, the
       // fastest legal delay toward the leaders.
-      return lagging(next) ? hi : lo;
+      return log_.lagging(next) ? hi : lo;
     case RelayFaultKind::kSearch: {
-      if (attack_seed_ == 0) return lagging(next) ? hi : lo;
+      if (attack_seed_ == 0) return log_.lagging(next) ? hi : lo;
       const std::uint64_t h = util::mix64(
           attack_seed_ ^ (static_cast<std::uint64_t>(at) << 40) ^
           (static_cast<std::uint64_t>(next) << 20) ^ flood_id);

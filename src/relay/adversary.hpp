@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/adversaries.hpp"
 #include "relay/topology.hpp"
 #include "util/ids.hpp"
 #include "util/spelling.hpp"
@@ -140,10 +141,10 @@ class RelayAdversary {
   /// Number of observe() calls and the rolling digest over their arguments —
   /// the bit-exact replay witness.
   [[nodiscard]] std::uint64_t observation_count() const noexcept {
-    return obs_count_;
+    return log_.count();
   }
   [[nodiscard]] std::uint64_t observation_digest() const noexcept {
-    return obs_digest_;
+    return log_.digest();
   }
 
   /// Whether faulty relay `at` forwards flood `flood_id` to neighbor `next`
@@ -168,9 +169,6 @@ class RelayAdversary {
                                  double lo, double hi) const;
 
  private:
-  /// Greedy estimate: is `v` on the lagging side of the observed frontier?
-  /// Unobserved nodes count as lagging (no evidence they are ahead).
-  [[nodiscard]] bool lagging(NodeId v) const;
   /// The single most-lagging observed neighbor of faulty relay `at`, or
   /// kInvalidNode when nothing has been observed yet (no drop) or the relay
   /// has fewer than 2 neighbors (dropping would disconnect it outright).
@@ -190,12 +188,9 @@ class RelayAdversary {
 
   // --- Observation state (greedy policy only; survives refresh()) ---------
   std::vector<double> flood_first_;  ///< flood id → t₀ (NaN: unseen)
-  std::vector<double> late_sum_;          ///< per-node Σ(now − t₀)
-  std::vector<std::uint64_t> late_count_;
-  double late_total_ = 0.0;
-  std::uint64_t late_total_count_ = 0;
-  std::uint64_t obs_count_ = 0;
-  std::uint64_t obs_digest_ = 0;
+  /// The complete world's greedy estimator; sized n only when observing(),
+  /// so observe() on another kind fails its check.
+  core::ObservationLog log_{0};
 };
 
 }  // namespace crusader::relay

@@ -37,14 +37,10 @@ RelayAnalysis analyze_worst_hops(const RelayConfig& config) {
     // already ran (removing nodes never shrinks distances), so it needs no
     // extra pass.
     if (!config.faulty.empty()) {
-      std::vector<bool> excluded(n, false);
-      for (const NodeId v : config.faulty) {
-        CS_CHECK(v < n);
-        excluded[v] = true;
-      }
       worst = std::max(worst,
                        config.topology.worst_distance_with_faults(
-                           excluded, config.topology.sampled_source_cap()));
+                           sim::faulty_mask(config.faulty, n, hop.f),
+                           config.topology.sampled_source_cap()));
     }
     CS_WARN << "relay: n=" << n << ", f=" << hop.f
             << " exceeds the worst_case_distance budgets; D_f=" << worst
@@ -356,21 +352,25 @@ void RelayWorld::reforward(NodeId from, NodeId to) {
   // A faulty retainer replays through the same adversary policy as a live
   // forward: pruned destinations stay pruned and delays stay overridden —
   // otherwise a rewire would launder an adversarial edge into an honest one.
+  for (const RetainedFlood& r : recent_[from])
+    send_hop(from, to, r.flood_id, r.hops + 1, r.ref);
+}
+
+void RelayWorld::send_hop(NodeId from, NodeId to, std::uint64_t flood_id,
+                          std::uint32_t hops,
+                          const sim::MessageArena::Ref& ref) {
   const bool adversarial = faulty_[from];
+  if (adversarial && !adversary_->forwards(from, to, flood_id)) return;
   const double lo = config_.hop_model.d - config_.hop_model.u;
   const double hi = config_.hop_model.d;
-  for (const RetainedFlood& r : recent_[from]) {
-    if (adversarial && !adversary_->forwards(from, to, r.flood_id)) continue;
-    double delay =
-        hop_policy_->delay(from, to, engine_.now(), *r.ref, lo, hi, rng_);
-    if (adversarial)
-      delay = adversary_->hop_delay(from, to, r.flood_id, delay, lo, hi);
-    check_hop_delay(from, to, delay);
-    ++physical_messages_;
-    engine_.at(engine_.now() + delay,
-               [this, to, flood_id = r.flood_id, next_hops = r.hops + 1,
-                ref = r.ref] { hop_deliver(to, flood_id, next_hops, ref); });
-  }
+  double delay = hop_policy_->delay(from, to, engine_.now(), *ref, lo, hi, rng_);
+  if (adversarial)
+    delay = adversary_->hop_delay(from, to, flood_id, delay, lo, hi);
+  check_hop_delay(from, to, delay);
+  ++physical_messages_;
+  engine_.at(engine_.now() + delay, [this, to, flood_id, hops, ref] {
+    hop_deliver(to, flood_id, hops, ref);
+  });
 }
 
 void RelayWorld::check_hop_delay(NodeId from, NodeId to, double delay) const {
@@ -486,25 +486,11 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
     // carries the next round, so nothing is retained or replayed.
     recent_[at].push_back(RetainedFlood{flood_id, hops, ref, engine_.now()});
   }
-  const bool adversarial = faulty_[at];
   const auto& nbrs = config_.topology.neighbors(at);
-  const double lo = config_.hop_model.d - config_.hop_model.u;
-  const double hi = config_.hop_model.d;
-
-  if (!config_.batch || adversarial) {
+  if (!config_.batch || faulty_[at]) {
     // Reference path (and always the path for faulty relays: their forward
     // pruning and per-copy delay overrides are per neighbor).
-    for (const NodeId next : nbrs) {
-      if (adversarial && !adversary_->forwards(at, next, flood_id)) continue;
-      double delay = hop_policy_->delay(at, next, engine_.now(), m, lo, hi, rng_);
-      if (adversarial)
-        delay = adversary_->hop_delay(at, next, flood_id, delay, lo, hi);
-      check_hop_delay(at, next, delay);
-      ++physical_messages_;
-      engine_.at(engine_.now() + delay, [this, next, flood_id, hops, ref]() {
-        hop_deliver(next, flood_id, hops + 1, ref);
-      });
-    }
+    for (const NodeId next : nbrs) send_hop(at, next, flood_id, hops + 1, ref);
     return;
   }
 
@@ -545,6 +531,8 @@ void RelayWorld::hop_deliver(NodeId at, std::uint64_t flood_id,
                    hop_deliver(nb[i], flood_id, next_hops, ref);
                });
   };
+  const double lo = config_.hop_model.d - config_.hop_model.u;
+  const double hi = config_.hop_model.d;
   for (std::uint32_t i = 0; i < n_nbrs; ++i) {
     const double delay =
         hop_policy_->delay(at, nbrs[i], engine_.now(), m, lo, hi, rng_);

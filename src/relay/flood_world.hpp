@@ -282,6 +282,10 @@ class RelayWorld {
   /// when an earlier incarnation of `at` wrote it.
   Delivery& delivery(NodeId at, std::uint64_t flood_id,
                      const sim::MessageArena::Ref& ref);
+  /// Sends flood `flood_id` one hop from `from` to `to`, arriving as hop
+  /// `hops`; a faulty `from` applies the adversary's pruning and delay.
+  void send_hop(NodeId from, NodeId to, std::uint64_t flood_id,
+                std::uint32_t hops, const sim::MessageArena::Ref& ref);
   /// Throws util::ModelViolation unless `delay` is a legal hop delay,
   /// within [d_hop − u_hop, d_hop].
   void check_hop_delay(NodeId from, NodeId to, double delay) const;

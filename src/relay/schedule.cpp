@@ -11,11 +11,6 @@
 namespace crusader::relay {
 namespace {
 
-// Order-sensitive digest fold, same splitmix combine as the scenario digest.
-[[nodiscard]] std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept {
-  return util::mix64(h ^ (word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
-}
-
 [[nodiscard]] bool unordered_eq(const std::pair<NodeId, NodeId>& e, NodeId a,
                                 NodeId b) noexcept {
   return (e.first == a && e.second == b) || (e.first == b && e.second == a);
@@ -432,6 +427,7 @@ std::uint64_t EdgeAgeTracker::age(NodeId a, NodeId b) const {
 }
 
 std::uint64_t TopologySchedule::digest() const noexcept {
+  using util::fold;
   std::uint64_t h = fold(0x5c4ed01eULL, initial_.n());
   h = fold(h, initial_.edge_count());
   for (NodeId v = 0; v < initial_.n(); ++v) {

@@ -28,9 +28,13 @@ namespace crusader::runner {
 
 namespace {
 
-/// Steady-state skew statistics shared by the complete and relay paths.
-void fill_skew_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
-                       ScenarioResult& result) {
+/// Liveness, round count, skew statistics and the bound check of one run,
+/// shared by the complete and relay paths.
+void fill_trace_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
+                        ScenarioResult& result) {
+  result.live = trace.live(spec.rounds);
+  result.rounds_completed = trace.complete_rounds();
+  if (result.rounds_completed == 0) return;
   result.max_skew = trace.max_skew();
   result.min_period = trace.min_period();
   result.max_period = trace.max_period();
@@ -42,71 +46,58 @@ void fill_skew_metrics(const sim::PulseTrace& trace, const ScenarioSpec& spec,
     result.skew_p50 = steady.median();
     result.skew_p99 = steady.quantile(0.99);
   }
+  result.within_bound =
+      result.max_skew <= result.predicted_skew + RunnerOptions::bound_tolerance;
 }
 
-crypto::Pki::Kind pki_kind_for(CryptoMode mode) noexcept {
-  return mode == CryptoMode::kAbstract ? crypto::Pki::Kind::kAbstract
-                                       : crypto::Pki::Kind::kSymbolic;
-}
-
-/// PR-2 path: the fully-connected World with Byzantine adversaries.
-void run_complete_world(const ScenarioSpec& spec, const RunnerOptions& options,
-                        ScenarioResult& result) {
-  // Protocol constants are solved for spec.f; the world's model additionally
-  // admits f_actual faulty nodes when a scenario probes beyond-resilience
-  // behavior (f_actual > f).
-  const auto model = spec.model();
-  model.validate();
-  auto world_model = model;
-  world_model.f = std::max(spec.f, spec.f_actual);
-  world_model.validate();
-  const auto setup = baselines::make_setup(spec.protocol, model, spec.slack);
-  result.feasible = setup.feasible;
-  if (!setup.feasible) return;  // predicted_skew stays NaN
-  result.predicted_skew = setup.predicted_skew;
-
-  auto honest =
-      baselines::make_protocol_factory(setup, static_cast<Round>(spec.rounds));
-
-  sim::WorldConfig config;
-  config.model = world_model;
-  config.seed = result.seed;
-  config.initial_offset = setup.initial_offset;
-  config.horizon = setup.initial_offset +
-                   static_cast<double>(spec.rounds + 2) * setup.round_length;
+/// The settings the complete and relay worlds read straight off the spec:
+/// clocks, delays, the first f_actual nodes as the faulty set, and the PKI.
+template <typename Config>
+void configure_world(const ScenarioSpec& spec, std::uint64_t seed, bool batch,
+                     Config& config) {
+  config.seed = seed;
   config.clock_kind = spec.clocks;
   config.delay_kind = spec.delay;
   if (spec.custom_delay) config.custom_delay = spec.custom_delay->factory();
   config.faulty = sim::default_faulty_set(spec.f_actual);
-  config.pki_kind = pki_kind_for(spec.crypto);
-  config.batch = options.fast_path;
+  config.pki_kind = spec.crypto == CryptoMode::kAbstract
+                        ? crypto::Pki::Kind::kAbstract
+                        : crypto::Pki::Kind::kSymbolic;
+  config.batch = batch;
+}
 
-  sim::ByzantineFactory byz;
-  if (spec.f_actual > 0) {
-    byz = spec.st_accelerator
-              ? core::make_st_accelerator_factory(spec.n - 1)
-              : core::make_byzantine_factory(spec.strategy, honest,
-                                             result.seed, spec.late_shift,
-                                             spec.split_shift);
-  }
+/// The complete world's model: protocol constants are solved for spec.f, and
+/// the world additionally admits f_actual faulty nodes when a scenario probes
+/// beyond-resilience behavior (f_actual > f).
+sim::ModelParams world_model(const ScenarioSpec& spec) {
+  auto model = spec.model();
+  model.f = std::max(spec.f, spec.f_actual);
+  return model;
+}
 
-  sim::World world(config, std::move(honest), std::move(byz));
-  const sim::RunResult run = world.run();
+/// Complete-world row: solve the protocol for spec.f, run the world capped
+/// at spec.rounds pulses, and fill the row from the run.
+void run_complete_cell(const ScenarioSpec& spec, const RunnerOptions& options,
+                       ScenarioResult& result) {
+  // Covers spec.model() too: the checks only tighten as f grows.
+  world_model(spec).validate();
+  const auto setup =
+      baselines::make_setup(spec.protocol, spec.model(), spec.slack);
+  result.feasible = setup.feasible;
+  if (!setup.feasible) return;  // predicted_skew stays NaN
+  result.predicted_skew = setup.predicted_skew;
 
-  result.live = run.trace.live(spec.rounds);
-  result.rounds_completed = run.trace.complete_rounds();
+  const sim::RunResult run =
+      run_complete_world(spec, setup, result.seed,
+                         static_cast<Round>(spec.rounds), options.fast_path);
+
   result.messages = run.messages;
   result.events = run.events;
   result.sign_ops = run.sign_ops;
   result.verify_ops = run.verify_ops;
   result.signatures_carried = run.signatures_carried;
   result.violations = run.violations.size();
-
-  if (result.rounds_completed > 0) {
-    fill_skew_metrics(run.trace, spec, result);
-    result.within_bound = result.max_skew <= result.predicted_skew +
-                                                 RunnerOptions::bound_tolerance;
-  }
+  fill_trace_metrics(run.trace, spec, result);
 }
 
 /// Digest of exactly the inputs relay::analyze_worst_hops reads — topology
@@ -177,18 +168,12 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
   relay::RelayConfig config;
   config.topology = relay_topology(spec, result.seed);
   config.hop_model = hop_model;
-  config.seed = result.seed;
-  config.clock_kind = spec.clocks;
-  config.delay_kind = spec.delay;
-  if (spec.custom_delay) config.custom_delay = spec.custom_delay->factory();
+  configure_world(spec, result.seed, options.fast_path, config);
   // Faulty relays misbehave per the spec's relay-fault axis: crash (drop
   // everything) or the signature-legal Byzantine behaviors — max-delay,
   // reorder, selective-drop, plus the adaptive greedy-skew/search pair
   // (relay/adversary.hpp).
-  config.faulty = sim::default_faulty_set(spec.f_actual);
   config.fault_kind = spec.relay_fault;
-  config.pki_kind = pki_kind_for(spec.crypto);
-  config.batch = options.fast_path;
 
   std::shared_ptr<const relay::TopologySchedule> schedule;
   if (spec.dynamic()) {
@@ -264,8 +249,7 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
   result.predicted_skew = setup.predicted_skew;
 
   config.initial_offset = setup.initial_offset;
-  config.horizon = setup.initial_offset +
-                   static_cast<double>(spec.rounds + 2) * setup.round_length;
+  config.horizon = setup.horizon(spec.rounds);
   if (dynamic) {
     // Delta e applies at the end of (0-based) round e, so round r runs on
     // schedule->at_epoch(r) — the same mapping local_skew_series uses.
@@ -287,18 +271,11 @@ void run_relay_world(const ScenarioSpec& spec, const RunnerOptions& options,
                             effective);
     relay::RelayRunResult run = world.run();
 
-    out.live = run.trace.live(spec.rounds);
-    out.rounds_completed = run.trace.complete_rounds();
     out.messages = run.physical_messages;
     out.events = run.events;
     out.sign_ops = run.sign_ops;
     out.verify_ops = run.verify_ops;
-
-    if (out.rounds_completed > 0) {
-      fill_skew_metrics(run.trace, spec, out);
-      out.within_bound = out.max_skew <= out.predicted_skew +
-                                             RunnerOptions::bound_tolerance;
-    }
+    fill_trace_metrics(run.trace, spec, out);
     return std::move(run.trace);
   };
 
@@ -425,7 +402,7 @@ ScenarioResult run_scenario_cached(const ScenarioSpec& spec,
     if (options.budget_ms > 0.0) budget.emplace(options.budget_ms);
     switch (spec.world) {
       case WorldKind::kComplete:
-        run_complete_world(spec, options, result);
+        run_complete_cell(spec, options, result);
         break;
       case WorldKind::kRelay:
         run_relay_world(spec, options, cache, result);
@@ -475,6 +452,31 @@ bool admits(TrendSeries::Rows rows, const ScenarioSpec& spec) {
 std::uint64_t scenario_seed(const ScenarioSpec& spec,
                             std::uint64_t base_seed) noexcept {
   return util::Rng(base_seed).fork(spec.key()).next_u64();
+}
+
+sim::RunResult run_complete_world(const ScenarioSpec& spec,
+                                  const baselines::ProtocolSetup& setup,
+                                  std::uint64_t seed, Round max_rounds,
+                                  bool batch) {
+  auto honest = baselines::make_protocol_factory(setup, max_rounds);
+
+  sim::WorldConfig config;
+  config.model = world_model(spec);
+  configure_world(spec, seed, batch, config);
+  config.initial_offset = setup.initial_offset;
+  config.horizon = setup.horizon(spec.rounds);
+
+  sim::ByzantineFactory byz;
+  if (spec.f_actual > 0) {
+    byz = spec.st_accelerator
+              ? core::make_st_accelerator_factory(spec.n - 1)
+              : core::make_byzantine_factory(spec.strategy, honest, seed,
+                                             spec.late_shift,
+                                             spec.split_shift);
+  }
+
+  sim::World world(config, std::move(honest), std::move(byz));
+  return world.run();
 }
 
 std::vector<double> local_skew_series(const sim::PulseTrace& trace,

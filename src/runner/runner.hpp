@@ -159,6 +159,16 @@ struct SweepReport {
 [[nodiscard]] std::uint64_t scenario_seed(const ScenarioSpec& spec,
                                           std::uint64_t base_seed) noexcept;
 
+/// Builds and runs the complete world of `spec` (spec.world is not read)
+/// under `setup` at world seed `seed`: the world model (f = max(f, f_actual)),
+/// horizon, faulty set, PKI kind, custom delay and Byzantine or ST-accelerator
+/// factory. `max_rounds` caps honest pulses as in make_protocol_factory (0 =
+/// run to the horizon, a few rounds past spec.rounds). run_scenario passes
+/// (scenario_seed, spec.rounds, fast_path). Throws on a model violation.
+[[nodiscard]] sim::RunResult run_complete_world(
+    const ScenarioSpec& spec, const baselines::ProtocolSetup& setup,
+    std::uint64_t seed, Round max_rounds = 0, bool batch = true);
+
 /// Run one scenario to completion. Never throws: failures are reported in
 /// ScenarioResult::error.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,

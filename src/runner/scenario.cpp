@@ -20,11 +20,7 @@ namespace crusader::runner {
 
 namespace {
 
-/// Fold one 64-bit word into a running digest (splitmix-based; order
-/// sensitive, which is what we want for a field-by-field hash).
-std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept {
-  return util::mix64(h ^ (word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
-}
+using util::fold;
 
 std::uint64_t fold(std::uint64_t h, double value) noexcept {
   return fold(h, std::bit_cast<std::uint64_t>(value));
@@ -133,6 +129,15 @@ sim::ModelParams ScenarioSpec::model() const {
   m.u_tilde = u_tilde;
   m.vartheta = vartheta;
   return m;
+}
+
+void ScenarioSpec::set_model(const sim::ModelParams& m) {
+  n = m.n;
+  f = m.f;
+  d = m.d;
+  u = m.u;
+  u_tilde = m.u_tilde;
+  vartheta = m.vartheta;
 }
 
 std::string ScenarioSpec::name() const {

@@ -256,6 +256,8 @@ struct ScenarioSpec {
   }
 
   [[nodiscard]] sim::ModelParams model() const;
+  /// The inverse of model(): copies n, f, d, u, u_tilde and vartheta.
+  void set_model(const sim::ModelParams& m);
 
   /// Human-readable id, e.g. "CPS n=7 f=3 vt=1.01 u=0.05 delay=random
   /// byz=split" or "relay[hypercube] CPS n=8 ...". Unique per distinct spec

@@ -16,6 +16,10 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return splitmix64(s);
 }
 
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept {
+  return mix64(h ^ (word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
+}
+
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

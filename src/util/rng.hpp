@@ -19,6 +19,10 @@ namespace crusader::util {
 /// Stateless mix of a single value (e.g. for hashing tuples of ids).
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept;
 
+/// Folds one 64-bit word into a running digest: a splitmix combine that is
+/// order sensitive, which is what a field-by-field digest wants.
+[[nodiscard]] std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept;
+
 /// xoshiro256++ by Blackman & Vigna (public domain reference algorithm).
 class Rng {
  public:

@@ -1,14 +1,15 @@
 #pragma once
-// Shared test plumbing: canonical model parameter sets and world builders.
+// Shared test plumbing: the canonical model, a world config for tests of
+// hand-configured nodes, and run_protocol, a runner spec run through
+// runner::run_complete_world, the builder behind run_scenario.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "baselines/factories.hpp"
 #include "core/adversaries.hpp"
-#include "core/cps.hpp"
+#include "runner/runner.hpp"
 #include "sim/world.hpp"
 
 namespace crusader::testing {
@@ -34,37 +35,34 @@ inline sim::WorldConfig world_config(const sim::ModelParams& model,
   config.model = model;
   config.seed = seed;
   config.initial_offset = setup.initial_offset;
-  config.horizon =
-      setup.initial_offset + static_cast<double>(rounds + 2) * setup.round_length;
+  config.horizon = setup.horizon(rounds);
   config.clock_kind = sim::ClockKind::kSpread;
   config.delay_kind = sim::DelayKind::kRandom;
   return config;
 }
 
-/// Runs a protocol with `f_actual` Byzantine nodes of the given strategy.
-/// Returns the run result. The world keeps the default Enforcement::kThrow,
-/// so a model violation throws util::ModelViolation out of the run.
+/// Runs a protocol with `f_actual` Byzantine nodes of the given strategy to
+/// the horizon (no pulse cap). The world keeps the default
+/// Enforcement::kThrow, so a model violation throws util::ModelViolation out
+/// of the run.
 inline sim::RunResult run_protocol(
     baselines::ProtocolKind kind, const sim::ModelParams& model,
     std::uint32_t f_actual, core::ByzStrategy strategy, std::uint64_t seed,
     std::size_t rounds, sim::ClockKind clocks = sim::ClockKind::kSpread,
     sim::DelayKind delays = sim::DelayKind::kRandom, double late_shift = 0.0,
     double split_shift = 0.0) {
-  const auto setup = baselines::make_setup(kind, model);
-  auto honest = baselines::make_protocol_factory(setup);
-
-  sim::WorldConfig config = world_config(model, setup, rounds, seed);
-  config.clock_kind = clocks;
-  config.delay_kind = delays;
-  config.faulty = sim::default_faulty_set(f_actual);
-
-  sim::ByzantineFactory byz;
-  if (f_actual > 0) {
-    byz = core::make_byzantine_factory(strategy, honest, seed, late_shift,
-                                       split_shift);
-  }
-  sim::World world(config, honest, byz);
-  return world.run();
+  runner::ScenarioSpec spec;
+  spec.set_model(model);
+  spec.protocol = kind;
+  spec.f_actual = f_actual;
+  spec.strategy = strategy;
+  spec.rounds = rounds;
+  spec.clocks = clocks;
+  spec.delay = delays;
+  spec.late_shift = late_shift;
+  spec.split_shift = split_shift;
+  return runner::run_complete_world(spec, baselines::make_setup(kind, model),
+                                    seed);
 }
 
 }  // namespace crusader::testing

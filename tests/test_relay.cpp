@@ -572,8 +572,7 @@ RelayRunResult run_pinned(const PinnedCell& cell, bool batch) {
   const auto setup = baselines::make_setup(cell.protocol, effective.model);
   CS_CHECK(setup.feasible);
   config.initial_offset = setup.initial_offset;
-  config.horizon = setup.initial_offset +
-                   static_cast<double>(cell.rounds + 2) * setup.round_length;
+  config.horizon = setup.horizon(cell.rounds);
   if (schedule != nullptr) {
     config.schedule = schedule;
     config.epoch_start = setup.initial_offset + setup.round_length;
@@ -763,8 +762,7 @@ TEST(RelayDeliveryState, FloodTablesStayWithinTheArenaHighWater) {
   ASSERT_TRUE(setup.feasible);
   constexpr std::size_t kRounds = 200;
   config.initial_offset = setup.initial_offset;
-  config.horizon = setup.initial_offset +
-                   static_cast<double>(kRounds + 2) * setup.round_length;
+  config.horizon = setup.horizon(kRounds);
   RelayWorld world(config,
                    baselines::make_protocol_factory(
                        setup, static_cast<Round>(kRounds)),

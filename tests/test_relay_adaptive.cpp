@@ -318,8 +318,7 @@ TEST(AdaptiveWitness, SearchWeaklyDominatesGreedyAndWinnerReplays) {
                                            spec.slack);
   ASSERT_TRUE(setup.feasible);
   config.initial_offset = setup.initial_offset;
-  config.horizon = setup.initial_offset +
-                   static_cast<double>(spec.rounds + 2) * setup.round_length;
+  config.horizon = setup.horizon(spec.rounds);
   relay::RelayWorld world(
       config,
       baselines::make_protocol_factory(setup,

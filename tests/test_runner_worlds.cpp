@@ -2,7 +2,9 @@
 // driven by the same ScenarioSpec/run_sweep machinery as the complete graph,
 // and every world's realized skew conforms to its theoretical bound — the
 // Theorem-17 upper bound evaluated at (d_eff, u_eff) for relay topologies,
-// the 2ũ/3 lower bound for the triple-execution construction.
+// the 2ũ/3 lower bound for the triple-execution construction. The complete
+// graph's row is run_complete_world at the scenario seed, the builder the
+// E-table benches and the test helpers call with their raw seed.
 
 #include "runner/runner.hpp"
 
@@ -16,12 +18,77 @@
 #include <string>
 #include <vector>
 
+#include "baselines/factories.hpp"
+#include "core/adversaries.hpp"
 #include "relay/topology.hpp"
 #include "runner/export.hpp"
 #include "runner/scenario.hpp"
 
 namespace crusader::runner {
 namespace {
+
+// --- Complete world: one builder behind run_scenario and the E-tables -----
+
+/// CPS, LW and ST × {crash, split, greedy-skew}, plus ST under the
+/// certificate accelerator and CPS under a targeted custom delay.
+std::vector<ScenarioSpec> complete_world_specs() {
+  ScenarioSpec base;
+  base.n = 7;
+  base.f = 2;
+  base.f_actual = 2;
+  base.rounds = 8;
+  base.warmup = 2;
+  std::vector<ScenarioSpec> specs;
+  for (const auto protocol : {baselines::ProtocolKind::kCps,
+                              baselines::ProtocolKind::kLynchWelch,
+                              baselines::ProtocolKind::kSrikanthToueg}) {
+    for (const auto strategy :
+         {core::ByzStrategy::kCrash, core::ByzStrategy::kSplit,
+          core::ByzStrategy::kGreedySkew}) {
+      ScenarioSpec spec = base;
+      spec.protocol = protocol;
+      spec.strategy = strategy;
+      specs.push_back(spec);
+    }
+  }
+  ScenarioSpec accel = base;
+  accel.protocol = baselines::ProtocolKind::kSrikanthToueg;
+  accel.st_accelerator = true;
+  specs.push_back(accel);
+  ScenarioSpec target = base;
+  target.custom_delay = *parse_custom_delay("custom:target:6");
+  specs.push_back(target);
+  return specs;
+}
+
+TEST(CompleteWorldBuilder, RunScenarioIsTheBuilderAtTheScenarioSeed) {
+  RunnerOptions options;
+  options.base_seed = 11;
+  for (const ScenarioSpec& spec : complete_world_specs()) {
+    SCOPED_TRACE(spec.name());
+    const ScenarioResult row = run_scenario(spec, options);
+    ASSERT_TRUE(row.error.empty()) << row.error;
+    ASSERT_TRUE(row.feasible);
+    ASSERT_GT(row.rounds_completed, spec.warmup);
+
+    const auto setup =
+        baselines::make_setup(spec.protocol, spec.model(), spec.slack);
+    const std::uint64_t seed = scenario_seed(spec, options.base_seed);
+    const sim::RunResult run =
+        run_complete_world(spec, setup, seed, static_cast<Round>(spec.rounds));
+    EXPECT_EQ(row.messages, run.messages);
+    EXPECT_EQ(row.events, run.events);
+    EXPECT_EQ(row.sign_ops, run.sign_ops);
+    EXPECT_EQ(row.verify_ops, run.verify_ops);
+    EXPECT_EQ(row.max_skew, run.trace.max_skew());
+    EXPECT_EQ(row.steady_skew, run.trace.max_skew(spec.warmup));
+
+    // Uncapped, the honest nodes pulse on to the horizon, which holds more
+    // than spec.rounds complete rounds; the E-tables read those rounds.
+    const sim::RunResult uncapped = run_complete_world(spec, setup, seed);
+    EXPECT_GT(uncapped.trace.complete_rounds(), spec.rounds);
+  }
+}
 
 // --- Relay world: bound conformance over a topology × ϑ × u_hop grid -------
 
